@@ -21,14 +21,14 @@ type ElemProgram struct {
 	saturated bool
 
 	// per-iteration state
-	lastIter int
-	inUyi    bool         // member of U_yi during the current phase
-	p        rational.Rat // p(u) from this iteration's phase for colour c
-	pValid   bool
-	cPrime   *big.Int // weak-reduction working colour c'
-	c2       int      // weak colour in {0..3}
-	c3       int      // composite colour 4c + c2
-	cNew     int      // trivial-reduction target colour; 0 = unset
+	cur    cursor
+	inUyi  bool         // member of U_yi during the current phase
+	p      rational.Rat // p(u) from this iteration's phase for colour c
+	pValid bool
+	cPrime *big.Int // weak-reduction working colour c'
+	c2     int      // weak colour in {0..3}
+	c3     int      // composite colour 4c + c2
+	cNew   int      // trivial-reduction target colour; 0 = unset
 }
 
 // NewElement returns an initialized element-node program.
@@ -51,7 +51,7 @@ func (p *ElemProgram) Reset(env sim.Env) {
 	p.y = rational.Zero
 	p.c = 1
 	p.saturated = false
-	p.lastIter = 1
+	p.cur = startCursor
 	p.inUyi = false
 	p.p = rational.Zero
 	p.pValid = false
@@ -62,8 +62,7 @@ func (p *ElemProgram) Reset(env sim.Env) {
 // Init implements sim.BroadcastProgram; NewElement performs the work.
 func (p *ElemProgram) Init(env sim.Env) {}
 
-func (p *ElemProgram) resetIter(it int) {
-	p.lastIter = it
+func (p *ElemProgram) resetIter() {
 	if p.cNew != 0 {
 		p.c = p.cNew
 	}
@@ -73,12 +72,12 @@ func (p *ElemProgram) resetIter(it int) {
 	p.c2, p.c3, p.cNew = 0, 0, 0
 }
 
-func (p *ElemProgram) at(round int) pos {
-	loc := p.lay.locate(round)
-	if loc.iter != p.lastIter {
-		p.resetIter(loc.iter)
+func (p *ElemProgram) at(round int) step {
+	s, moved := p.lay.at(&p.cur, round)
+	if moved {
+		p.resetIter()
 	}
-	return loc
+	return s
 }
 
 // Send implements sim.BroadcastProgram.
@@ -120,7 +119,7 @@ func (p *ElemProgram) Recv(round int, msgs []sim.Message) {
 	case stepSatResidual, stepStatusR:
 		p.updateSaturation(msgs)
 		if loc.kind == stepSatResidual {
-			p.inUyi = !p.saturated && p.c == loc.colour
+			p.inUyi = !p.saturated && p.c == loc.colour()
 		}
 	case stepSatOffer:
 		if !p.inUyi {
@@ -156,7 +155,7 @@ func (p *ElemProgram) Recv(round int, msgs []sim.Message) {
 			return
 		}
 		ell := p.weakEll(msgs)
-		if !p.lay.lastWeak(loc.weak) {
+		if !p.lay.lastWeak(int(loc.weak)) {
 			if ell != nil {
 				p.cPrime = colour.CVStep(p.cPrime, ell)
 			} else {
@@ -178,10 +177,10 @@ func (p *ElemProgram) Recv(round int, msgs []sim.Message) {
 		if p.saturated {
 			return
 		}
-		if p.c3 == loc.class && p.cNew == 0 {
+		if p.c3 == loc.class() && p.cNew == 0 {
 			p.pickReduced(msgs)
 		}
-		if loc.class == 4 && p.cNew == 0 {
+		if loc.class() == 4 && p.cNew == 0 {
 			panic("fracpack: element left the trivial reduction uncoloured")
 		}
 	}

@@ -56,6 +56,62 @@ func TestProgramPoolSetupAllocs(t *testing.T) {
 	if pooled/n > 0.05 {
 		t.Errorf("warm pool checkout costs %.4f allocs/node, budget 0.05", pooled/n)
 	}
+
+	// A weight snapshot moves Params.W but not the layout's shape: the
+	// warm Reset rebinds to the shared step table and builds none.
+	params := sim.BipartiteParams(ins)
+	churn := params
+	churn.W = params.W * 1000
+	if a, b := layoutShape(params), layoutShape(churn); a.colours != b.colours || a.weakReps != b.weakReps {
+		t.Fatalf("W=%d and W=%d differ in shape; the rebind is untested", params.W, churn.W)
+	}
+	envsW := sim.BipartiteEnvs(ins, churn)
+	flip := false
+	rebind := testing.AllocsPerRun(5, func() {
+		e := envs
+		if flip = !flip; flip {
+			e = envsW
+		}
+		s, el := pool.Get(ins, e)
+		pool.Put(s, el)
+	})
+	t.Logf("pooled setup across W changes: %.4f allocs/node", rebind/n)
+	if rebind/n > 0.05 {
+		t.Errorf("warm checkout across W changes costs %.4f allocs/node, budget 0.05", rebind/n)
+	}
+	s, el := pool.Get(ins, envsW)
+	table := &newLayout(params).steps[0]
+	for _, sp := range s {
+		if &sp.lay.steps[0] != table {
+			t.Fatal("a subset program holds its own step table")
+		}
+	}
+	for _, ep := range el {
+		if &ep.lay.steps[0] != table {
+			t.Fatal("an element program holds its own step table")
+		}
+	}
+	pool.Put(s, el)
+}
+
+// TestProgramsShareOneTable: programs of one layout shape hold one step
+// table between them, whatever their weights and W.
+func TestProgramsShareOneTable(t *testing.T) {
+	var table *step
+	for i := 0; i < 1000; i++ {
+		p := sim.Params{F: 3, K: 6, W: int64(1 + i*7919)}
+		var steps []step
+		if i%2 == 0 {
+			steps = NewSubset(sim.Env{Degree: 6, Weight: p.W, Kind: sim.KindSubset, Params: p}).lay.steps
+		} else {
+			steps = NewElement(sim.Env{Degree: 3, Kind: sim.KindElement, Params: p}).lay.steps
+		}
+		if table == nil {
+			table = &steps[0]
+		} else if &steps[0] != table {
+			t.Fatalf("program %d (W=%d) holds a second step table", i, p.W)
+		}
+	}
 }
 
 // TestProgramPoolWeightRebind: pooled subset/element programs serve
@@ -76,6 +132,19 @@ func TestProgramPoolWeightRebind(t *testing.T) {
 		pooled := opts
 		pooled.Programs = pool
 		got := MustRun(view, pooled)
+		subs, elems := pool.Get(view, sim.BipartiteEnvs(view, sim.Params{F: opts.F, K: opts.K, W: opts.W}))
+		table := &newLayout(subs[0].env.Params).steps[0]
+		for _, sp := range subs {
+			if &sp.lay.steps[0] != table {
+				t.Fatalf("seed %d: a pooled subset program holds its own step table", seed)
+			}
+		}
+		for _, ep := range elems {
+			if &ep.lay.steps[0] != table {
+				t.Fatalf("seed %d: a pooled element program holds its own step table", seed)
+			}
+		}
+		pool.Put(subs, elems)
 		if got.Stats.Messages != ref.Stats.Messages || got.Stats.Bytes != ref.Stats.Bytes {
 			t.Fatalf("seed %d: stats diverge", seed)
 		}

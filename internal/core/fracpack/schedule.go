@@ -16,6 +16,7 @@ package fracpack
 
 import (
 	"math/bits"
+	"sync"
 
 	"anoncover/internal/colour"
 	"anoncover/internal/sim"
@@ -23,6 +24,17 @@ import (
 
 // layout is the per-iteration round plan, identical at every node because
 // it is derived from the global parameters only.
+//
+// The plan is a function of the global bounds f, k and W alone, so the
+// step each round performs is decoded once, not per node per round:
+// steps holds one iteration's rounds, steps[rr] being round rr (0-based)
+// of every iteration.  Its content depends only on the layout's shape —
+// the colour count and the weak-reduction length — so tables are
+// memoised by shape and shared read-only by every program, run and
+// goroutine; a weight-snapshot rerun, which moves W but rarely the
+// shape, gets the table the memo already holds.  Degenerate parameters
+// (K <= 0 or F <= 0) schedule no rounds: iters is 0 and no table is
+// built.
 type layout struct {
 	D        int // (k-1)·f: max outdegree of K
 	colours  int // D+1 colour classes
@@ -31,11 +43,12 @@ type layout struct {
 	weakLen  int // 2 rounds per weak iteration
 	redLen   int // 2 rounds per c3 class, 4·(D+1) classes
 	perIter  int
-	iters    int // D+1
+	iters    int    // D+1; 0 when no rounds are scheduled
+	steps    []step // one iteration's steps, shared read-only; nil when iters is 0
 }
 
 // Step identifiers within an iteration.
-type stepKind int
+type stepKind uint8
 
 const (
 	stepSatYBroadcast stepKind = iota // (i)   elements broadcast y(u)
@@ -51,16 +64,22 @@ const (
 	stepReduceDown                    // trivial reduction: subsets relay, class τ recolours
 )
 
-// pos locates a round within the algorithm.
-type pos struct {
-	iter   int      // 1-based outer iteration
-	kind   stepKind // which protocol step this round performs
-	colour int      // saturation phase colour i (for sat steps)
-	weak   int      // 1-based weak iteration (for weak steps)
-	class  int      // c3 class value τ (for reduce steps)
+// step is what one round of an iteration performs: the protocol step
+// and the one index that step reads.  8 bytes.
+type step struct {
+	kind stepKind
+	weak uint8 // 1-based weak iteration (weak steps); at most CVRounds+1, a handful
+	idx  int32 // saturation colour i (sat steps) or c3 class τ (reduce steps)
 }
 
-func newLayout(p sim.Params) layout {
+// colour is the saturation phase colour i of a sat step.
+func (s step) colour() int { return int(s.idx) }
+
+// class is the c3 class value τ of a reduce step.
+func (s step) class() int { return int(s.idx) }
+
+// layoutShape returns the layout's round counts without the step table.
+func layoutShape(p sim.Params) layout {
 	d := (p.K - 1) * p.F
 	l := layout{D: d, colours: d + 1}
 	l.satLen = 5 * l.colours
@@ -68,8 +87,55 @@ func newLayout(p sim.Params) layout {
 	l.weakLen = 2 * l.weakReps
 	l.redLen = 2 * 4 * l.colours
 	l.perIter = l.satLen + 2 + l.weakLen + l.redLen
-	l.iters = l.colours
+	if p.K > 0 && p.F > 0 {
+		l.iters = l.colours
+	}
 	return l
+}
+
+// newLayout returns the layout for p with its shared step table.
+func newLayout(p sim.Params) layout {
+	l := layoutShape(p)
+	if l.iters > 0 {
+		l.steps = stepTable(l)
+	}
+	return l
+}
+
+// maxStepTables caps the memo.  Distinct shapes come from distinct
+// (f, k) and the few weak-reduction lengths W can give, so a server
+// sees a handful; a client posting instances of ever new (f, k) cannot
+// grow the memo past the cap, which starts it afresh.
+const maxStepTables = 64
+
+// stepTables memoises step tables by layout shape.  It is package-wide
+// so that every program, run and solver of one shape shares one table.
+var stepTables struct {
+	sync.Mutex
+	m map[tableKey][]step
+}
+
+// tableKey is the shape a step table depends on.
+type tableKey struct{ colours, weakReps int }
+
+// stepTable returns the shared step table for l's shape, decoding it on
+// first use.
+func stepTable(l layout) []step {
+	key := tableKey{l.colours, l.weakReps}
+	stepTables.Lock()
+	defer stepTables.Unlock()
+	if t, ok := stepTables.m[key]; ok {
+		return t
+	}
+	if stepTables.m == nil || len(stepTables.m) >= maxStepTables {
+		stepTables.m = make(map[tableKey][]step)
+	}
+	t := make([]step, l.perIter)
+	for rr := range t {
+		_, t[rr] = l.locate(rr + 1)
+	}
+	stepTables.m[key] = t
+	return t
 }
 
 // c1BitsBound bounds the bit length of the χ-colouring c1 = EncodeRat(p):
@@ -86,53 +152,82 @@ func c1BitsBound(p sim.Params) int {
 // Rounds returns the total number of communication rounds for the given
 // parameters: O(f²k² + fk·log* W).
 func Rounds(p sim.Params) int {
-	if p.K <= 0 || p.F <= 0 {
-		return 0
-	}
-	l := newLayout(p)
+	l := layoutShape(p)
 	return l.iters * l.perIter
 }
 
-// locate decodes a global 1-based round number.
-func (l layout) locate(round int) pos {
+// locate decodes a global 1-based round number into its 1-based
+// iteration and its step.  It is the reference decoder: it builds the
+// step tables, and the tests hold every cursor lookup to it.
+func (l layout) locate(round int) (iter int, s step) {
 	idx := round - 1
-	p := pos{iter: idx/l.perIter + 1}
+	iter = idx/l.perIter + 1
 	rr := idx % l.perIter // 0-based within iteration
 	if rr < l.satLen {
-		p.colour = rr/5 + 1
-		p.kind = stepKind(rr % 5) // stepSatYBroadcast..stepSatPick
-		return p
+		s.idx = int32(rr/5 + 1)
+		s.kind = stepKind(rr % 5) // stepSatYBroadcast..stepSatPick
+		return iter, s
 	}
 	rr -= l.satLen
 	if rr < 2 {
 		if rr == 0 {
-			p.kind = stepStatusY
+			s.kind = stepStatusY
 		} else {
-			p.kind = stepStatusR
+			s.kind = stepStatusR
 		}
-		return p
+		return iter, s
 	}
 	rr -= 2
 	if rr < l.weakLen {
-		p.weak = rr/2 + 1
+		s.weak = uint8(rr/2 + 1)
 		if rr%2 == 0 {
-			p.kind = stepWeakUp
+			s.kind = stepWeakUp
 		} else {
-			p.kind = stepWeakDown
+			s.kind = stepWeakDown
 		}
-		return p
+		return iter, s
 	}
 	rr -= l.weakLen
 	classIdx := rr / 2
 	// Classes processed from the highest c3 value, 4(D+1)+3, downwards
 	// to 4; c3 = 4c + c2 with c in 1..D+1 and c2 in 0..3.
-	p.class = 4*l.colours + 3 - classIdx
+	s.idx = int32(4*l.colours + 3 - classIdx)
 	if rr%2 == 0 {
-		p.kind = stepReduceUp
+		s.kind = stepReduceUp
 	} else {
-		p.kind = stepReduceDown
+		s.kind = stepReduceDown
 	}
-	return p
+	return iter, s
+}
+
+// cursor is a program's place in the schedule: the iteration it is in
+// and that iteration's first round.
+type cursor struct {
+	iter  int // 1-based
+	start int // first round of iter
+}
+
+// startCursor is the cursor of a fresh run: iteration 1, from round 1.
+var startCursor = cursor{iter: 1, start: 1}
+
+// at returns the step of a global 1-based round and whether the round
+// moved the cursor to another iteration, the point where programs reset
+// their per-iteration state.  Inside the cursor's iteration a lookup is
+// a subtraction, one range compare and an indexed load; the division
+// runs only when the round lies outside it.  So any call order is
+// served exactly as locate would: forward, in the iteration-sized
+// chunks offsetProg feeds under EarlyExit, or as the Section 5 history
+// simulation (bcastvc) drives a reused SubsetProgram — a backward jump
+// just moves the cursor back.
+func (l *layout) at(c *cursor, round int) (s step, moved bool) {
+	rr := round - c.start
+	if uint(rr) >= uint(l.perIter) {
+		it := (round-1)/l.perIter + 1
+		moved = it != c.iter
+		c.iter, c.start = it, (it-1)*l.perIter+1
+		rr = round - c.start
+	}
+	return l.steps[rr], moved
 }
 
 // lastWeak reports whether weak iteration w is the final exchange, whose

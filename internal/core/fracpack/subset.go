@@ -17,11 +17,11 @@ type SubsetProgram struct {
 	w, r rational.Rat
 
 	// per-iteration state
-	lastIter int
-	x        []rational.Rat // x_i(s), indexed by colour 1..D+1
-	xSet     []bool
-	q        []rational.Rat // q_i(s)
-	qSet     []bool
+	cur  cursor
+	x    []rational.Rat // x_i(s), indexed by colour 1..D+1
+	xSet []bool
+	q    []rational.Rat // q_i(s)
+	qSet []bool
 
 	// relay scratch
 	weakM  []weakTriplet // M(s): triplets received in the last weak up-round
@@ -47,15 +47,14 @@ func (p *SubsetProgram) Reset(env sim.Env) {
 	p.ar.reset()
 	p.w = rational.FromInt(env.Weight)
 	p.r = p.w
-	p.lastIter = 0 // force resetIter to rebuild the per-iteration state
-	p.resetIter(1)
+	p.cur = startCursor
+	p.resetIter()
 }
 
 // Init implements sim.BroadcastProgram; NewSubset performs the work.
 func (p *SubsetProgram) Init(env sim.Env) {}
 
-func (p *SubsetProgram) resetIter(it int) {
-	p.lastIter = it
+func (p *SubsetProgram) resetIter() {
 	n := p.lay.colours + 1
 	if cap(p.x) >= n {
 		p.x, p.q = p.x[:n], p.q[:n]
@@ -74,12 +73,12 @@ func (p *SubsetProgram) resetIter(it int) {
 	p.classM = nil
 }
 
-func (p *SubsetProgram) at(round int) pos {
-	loc := p.lay.locate(round)
-	if loc.iter != p.lastIter {
-		p.resetIter(loc.iter)
+func (p *SubsetProgram) at(round int) step {
+	s, moved := p.lay.at(&p.cur, round)
+	if moved {
+		p.resetIter()
 	}
-	return loc
+	return s
 }
 
 // Send implements sim.BroadcastProgram.
@@ -88,8 +87,8 @@ func (p *SubsetProgram) Send(round int) sim.Message {
 	case stepSatResidual, stepStatusR:
 		return p.ar.mR(p.r)
 	case stepSatOffer:
-		if p.xSet[loc.colour] {
-			return p.ar.mX(p.x[loc.colour])
+		if p.xSet[loc.colour()] {
+			return p.ar.mX(p.x[loc.colour()])
 		}
 	case stepWeakDown:
 		// §4.5 step (ii): relay (c'(v), i, x_i(s)) for every stored
@@ -141,8 +140,8 @@ func (p *SubsetProgram) Recv(round int, msgs []sim.Message) {
 		}
 		if cnt > 0 {
 			// s ∈ S': x_i(s) = r(s) / |U_yi(s)|.
-			p.x[loc.colour] = p.r.DivInt(int64(cnt))
-			p.xSet[loc.colour] = true
+			p.x[loc.colour()] = p.r.DivInt(int64(cnt))
+			p.xSet[loc.colour()] = true
 		}
 	case stepSatPick:
 		first := true
@@ -151,15 +150,15 @@ func (p *SubsetProgram) Recv(round int, msgs []sim.Message) {
 			if !ok {
 				continue
 			}
-			if first || m.P.Less(p.q[loc.colour]) {
-				p.q[loc.colour] = m.P
+			if first || m.P.Less(p.q[loc.colour()]) {
+				p.q[loc.colour()] = m.P
 			}
 			first = false
 		}
 		if !first {
-			p.qSet[loc.colour] = true
+			p.qSet[loc.colour()] = true
 		}
-		if p.xSet[loc.colour] == first {
+		if p.xSet[loc.colour()] == first {
 			panic("fracpack: x_i(s) and q_i(s) must be set together")
 		}
 	case stepWeakUp:

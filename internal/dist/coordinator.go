@@ -708,9 +708,10 @@ func (s *Session) Run(ctx context.Context, opt RunOptions) (*RunResult, error) {
 		wg.Wait()
 		return out
 	}
+	abort := sync.OnceFunc(func() { s.abortRun(runID) })
 	fail := func(err error) (*RunResult, error) {
 		s.c.mx.RunErrors.Add(1)
-		s.abortRun(runID)
+		abort()
 		return nil, err
 	}
 
@@ -756,7 +757,10 @@ func (s *Session) Run(ctx context.Context, opt RunOptions) (*RunResult, error) {
 	// worker whose run fails ships its partial phase trace as an
 	// fTrace frame ahead of the error verdict on the same nonce, so
 	// the collect loop stashes trace frames and returns on the first
-	// outcome frame.
+	// outcome frame.  The first error verdict aborts the other workers
+	// at once: a shard that failed alone (a wire-lane overflow) never
+	// flushes its round, so its peers would otherwise sit at the frame
+	// barrier until the frame timeout.
 	goPl := s.sessionPayload(nil)
 	traces := make([]*obs.ShardSpans, s.k)
 	replies := phase(func(w int) (frame, error) {
@@ -777,6 +781,9 @@ func (s *Session) Run(ctx context.Context, opt RunOptions) (*RunResult, error) {
 			f, err := cc.await(ch, ctx, collectTimeout)
 			if err != nil {
 				return frame{}, err
+			}
+			if f.typ == fError {
+				abort()
 			}
 			if f.typ != fTrace {
 				return f, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -321,14 +322,23 @@ func TestServeClientGone(t *testing.T) {
 
 	body, _ := gridText(t, 80, 80, testWeights(6400, 47))
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Hang up only once the whole instance is on the wire: a fixed
+	// sleep lets a loaded machine cancel before the upload completes,
+	// and a request that never reaches the run has nothing to count.
+	sent := &eofSignal{r: strings.NewReader(body), eof: make(chan struct{})}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		ts.URL+"/v1/vertexcover", strings.NewReader(body))
+		ts.URL+"/v1/vertexcover", sent)
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.ContentLength = int64(len(body))
 	go func() {
-		time.Sleep(time.Millisecond) // let the run start, then hang up
-		cancel()
+		select {
+		case <-sent.eof:
+			cancel()
+		case <-ctx.Done():
+		}
 	}()
 	if resp, err := cl.Do(req); err == nil {
 		resp.Body.Close()
@@ -349,6 +359,22 @@ func TestServeClientGone(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// eofSignal closes eof once its reader is drained: the request body
+// has been handed to the transport in full.
+type eofSignal struct {
+	r    io.Reader
+	eof  chan struct{}
+	once sync.Once
+}
+
+func (e *eofSignal) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err == io.EOF {
+		e.once.Do(func() { close(e.eof) })
+	}
+	return n, err
 }
 
 // TestServeCacheOps walks the cache operations API: warm, list, pin
