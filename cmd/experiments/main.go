@@ -169,7 +169,7 @@ func e3RoundsVsW() {
 	for _, w := range []int64{1, 16, 1 << 16, 1 << 32, 1 << 62} {
 		p := sim.Params{Delta: 4, W: w}
 		total := edgepack.Rounds(p)
-		cv := colour.CVRounds(edgepack.ColourBitsBound(p))
+		cv := edgepack.CVRounds(p)
 		fmt.Printf("| 2^%d | %d | %d |\n", bits64(w), total, cv)
 	}
 	fmt.Println("\nA 2^62-fold weight increase adds only a handful of Cole–Vishkin rounds.")
@@ -567,7 +567,7 @@ func a1PhaseBreakdown() {
 	for _, d := range []int{3, 5, 8} {
 		for _, w := range []int64{1, 1 << 30} {
 			p := sim.Params{Delta: d, W: w}
-			cv := colour.CVRounds(edgepack.ColourBitsBound(p))
+			cv := edgepack.CVRounds(p)
 			total := edgepack.Rounds(p)
 			fmt.Printf("| %d | 2^%d | %d | %d | 6 | %d | %d | %d + O(Δ+log* n), needs IDs |\n",
 				d, bits64(w), 2*d, cv, 6*d, total, 2*(2*d-1))

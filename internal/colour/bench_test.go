@@ -34,16 +34,6 @@ func BenchmarkEncodeRat(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeRatSeq(b *testing.B) {
-	seq := make([]rational.Rat, 8)
-	for i := range seq {
-		seq[i] = rational.FromFrac(int64(1000+i*37), int64(7+i))
-	}
-	for i := 0; i < b.N; i++ {
-		_ = EncodeRatSeq(seq)
-	}
-}
-
 func BenchmarkWeakSixToFour(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = WeakSixToFour(i%6, (i+1)%6)

@@ -55,20 +55,6 @@ func EncodeRat(r rational.Rat) *big.Int {
 	return new(big.Int).SetBytes([]byte(r.String()))
 }
 
-// EncodeRatSeq injectively encodes a sequence of rationals as a colour;
-// the comma-joined canonical strings are unambiguous because entries
-// contain no comma.
-func EncodeRatSeq(seq []rational.Rat) *big.Int {
-	buf := make([]byte, 0, 16*len(seq))
-	for i, r := range seq {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, r.String()...)
-	}
-	return new(big.Int).SetBytes(buf)
-}
-
 // FactorialBits returns an upper bound on the bit length of k!.
 func FactorialBits(k int) int {
 	b := 1
@@ -87,13 +73,6 @@ func decimalDigits(b int) int { return b/3 + 2 }
 func BitsBoundRat(numBits, denBits int) int {
 	// sign + digits + '/' + digits, 8 bits per byte.
 	return 8 * (1 + decimalDigits(numBits) + 1 + decimalDigits(denBits))
-}
-
-// BitsBoundSeq bounds the bit length of EncodeRatSeq for count entries
-// with the given per-entry bounds.
-func BitsBoundSeq(numBits, denBits, count int) int {
-	per := 1 + decimalDigits(numBits) + 1 + decimalDigits(denBits) + 1
-	return 8 * per * count
 }
 
 // CVStep performs one Cole–Vishkin reduction step for a node whose
@@ -116,6 +95,20 @@ func CVStep(own, parent *big.Int) *big.Int {
 func CVRootStep(own *big.Int) *big.Int {
 	return big.NewInt(int64(own.Bit(0)))
 }
+
+// CVStep64 is CVStep on word-sized colours, for callers whose colours
+// already fit a uint64 (edge packing after its first, local step).
+func CVStep64(own, parent uint64) uint64 {
+	x := own ^ parent
+	if x == 0 {
+		panic("colour: CVStep64 requires own != parent")
+	}
+	i := bits.TrailingZeros64(x)
+	return uint64(2*i) | (own>>uint(i))&1
+}
+
+// CVRootStep64 is CVRootStep on a word-sized colour.
+func CVRootStep64(own uint64) uint64 { return own & 1 }
 
 // CVRounds returns the number of CVStep iterations guaranteed to reduce
 // colours of at most maxBits bits to the range {0..5}.  This is

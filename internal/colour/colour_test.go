@@ -36,21 +36,6 @@ func TestEncodeRatInjective(t *testing.T) {
 	}
 }
 
-func TestEncodeRatSeqInjective(t *testing.T) {
-	a := []rational.Rat{rational.FromInt(1), rational.FromFrac(2, 3)}
-	b := []rational.Rat{rational.FromFrac(1, 2), rational.FromInt(3)}
-	c := []rational.Rat{rational.FromInt(12), rational.FromInt(3)}
-	ea, eb, ec := EncodeRatSeq(a), EncodeRatSeq(b), EncodeRatSeq(c)
-	if ea.Cmp(eb) == 0 || eb.Cmp(ec) == 0 || ea.Cmp(ec) == 0 {
-		t.Fatal("sequence encoding collision")
-	}
-	// "1","23" must differ from "12","3" — the separator matters.
-	d := EncodeRatSeq([]rational.Rat{rational.FromInt(1), rational.FromInt(23)})
-	if d.Cmp(ec) == 0 {
-		t.Fatal("ambiguous concatenation")
-	}
-}
-
 func TestEncodeBoundsHold(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
@@ -60,11 +45,6 @@ func TestEncodeBoundsHold(t *testing.T) {
 		bound := BitsBoundRat(41, 31)
 		if got := EncodeRat(x).BitLen(); got > bound {
 			t.Fatalf("EncodeRat(%v) has %d bits > bound %d", x, got, bound)
-		}
-		seq := []rational.Rat{x, rational.FromFrac(den, num+1)}
-		sb := BitsBoundSeq(41, 41, 2)
-		if got := EncodeRatSeq(seq).BitLen(); got > sb {
-			t.Fatalf("seq encoding %d bits > bound %d", got, sb)
 		}
 	}
 }

@@ -66,3 +66,34 @@ func TestBitsBoundQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCVStep64MatchesBig: the word-sized steps agree with the big.Int
+// steps on random colours of every width up to 64 bits, and panic where
+// CVStep does.
+func TestCVStep64MatchesBig(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		width := 1 + r.Intn(64)
+		own := r.Uint64() >> uint(64-width)
+		parent := r.Uint64() >> uint(64-width)
+		if r.Intn(4) == 0 {
+			parent = own ^ 1<<uint(r.Intn(width)) // differ in one bit only
+		}
+		bo, bp := new(big.Int).SetUint64(own), new(big.Int).SetUint64(parent)
+		if got, want := CVRootStep64(own), CVRootStep(bo); got != want.Uint64() {
+			t.Fatalf("CVRootStep64(%#x) = %d, want %v", own, got, want)
+		}
+		if own == parent {
+			continue
+		}
+		if got, want := CVStep64(own, parent), CVStep(bo, bp); got != want.Uint64() {
+			t.Fatalf("CVStep64(%#x, %#x) = %d, want %v", own, parent, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CVStep64 accepted equal colours")
+		}
+	}()
+	CVStep64(5, 5)
+}

@@ -37,6 +37,21 @@ func BenchmarkRunByDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkRunPooledDelta12 is one op of the vc-weights shape: a pooled
+// Sequential run at declared Δ=12, W=1000, which the wire gate keeps
+// boxed, so Phase II colours and the residual bookkeeping dominate.
+func BenchmarkRunPooledDelta12(b *testing.B) {
+	g := graph.PowerLawBounded(1000, 3, 12, 1)
+	graph.RandomWeights(g, 1000, 2)
+	opt := Options{Engine: sim.Sequential, Delta: 12, W: 1000, Topology: g.Flat(), Programs: &ProgramPool{}}
+	MustRun(g, opt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MustRun(g, opt)
+	}
+}
+
 // BenchmarkPhaseIOnly isolates Phase I (regular uniform graphs saturate
 // there, so stars and CV are no-ops).
 func BenchmarkPhaseIOnly(b *testing.B) {

@@ -21,12 +21,19 @@
 // before the next offers are computed (the paper leaves this bookkeeping
 // implicit).  The status round after the last iteration also feeds the
 // Phase II orientation.
+//
+// A node's Phase II colour is its Phase I sequence read as one binary
+// integer of fixed-width (numerator, denominator) fields, with widths
+// from Lemma 2 (seqcolour.go).  The integer is never built: orientation
+// compares sequences field by field, and since every node holds each
+// neighbour's whole sequence, it takes the first Cole–Vishkin step
+// locally.  The step leaves colours below twice the colour's bit length,
+// so the remaining CVRounds(p) rounds exchange one uint64 per forest.
 package edgepack
 
 import (
 	"context"
 	"fmt"
-	"math/big"
 	"math/bits"
 
 	"anoncover/internal/colour"
@@ -38,22 +45,10 @@ import (
 // Schedule segments.
 const (
 	segPhase1 = iota // 2Δ rounds: (offer, status) per iteration
-	segCV            // CVRounds(bound) rounds: Cole–Vishkin per forest
+	segCV            // CVRounds(p) rounds: Cole–Vishkin per forest
 	segShift         // 6 rounds: 3 x (shift-down, eliminate) to 3 colours
 	segStars         // 6Δ rounds: 2 per (forest, colour) batch
 )
-
-// ColourBitsBound bounds the bit length of the Phase I colour encoding:
-// each of the Δ sequence elements is a rational q with 0 < q <= W and
-// q·(Δ!)^Δ integral (Lemma 2 of the paper).
-func ColourBitsBound(p sim.Params) int {
-	if p.Delta == 0 {
-		return 1
-	}
-	fact := p.Delta * colour.FactorialBits(p.Delta)
-	numBits := bits.Len64(uint64(p.W)) + fact
-	return colour.BitsBoundSeq(numBits, fact, p.Delta)
-}
 
 // ScheduleFor returns the global round schedule all nodes derive from the
 // parameters (Δ, W); the total is O(Δ + log* W).
@@ -62,7 +57,7 @@ func ScheduleFor(p sim.Params) sim.Schedule {
 	if d == 0 {
 		return sim.NewSchedule(0, 0, 0, 0)
 	}
-	return sim.NewSchedule(2*d, colour.CVRounds(ColourBitsBound(p)), 6, 6*d)
+	return sim.NewSchedule(2*d, CVRounds(p), 6, 6*d)
 }
 
 // Rounds returns the number of communication rounds the algorithm uses
@@ -84,13 +79,13 @@ type statusMsg struct {
 func (m statusMsg) WireSize() int { return 1 }
 
 type cvMsg struct {
-	Cols []*big.Int // current per-forest colours
+	Cols []uint64 // current per-forest colours
 }
 
 func (m cvMsg) WireSize() int {
 	n := 1
 	for _, c := range m.Cols {
-		n += c.BitLen()/8 + 1
+		n += bits.Len64(c)/8 + 1
 	}
 	return n
 }
@@ -150,7 +145,7 @@ type Program struct {
 	// the allocations do not show up in the steady state.
 	oriented   bool
 	parentOf   []int // forest -> port of parent edge, -1 if root
-	forestCols []*big.Int
+	forestCols []uint64
 	shrunk     bool
 	smallCols  []int8 // colours once reduced to {0..5}
 	preShift   []int8 // own colour before the last shift-down, per forest
@@ -315,7 +310,7 @@ func (p *Program) Send(round int) []sim.Message {
 		if !p.oriented {
 			p.orient()
 		}
-		m := cvMsg{Cols: p.forestCols}
+		var m sim.Message = cvMsg{Cols: p.forestCols} // boxed once, shared by every port
 		for q := range out {
 			out[q] = m
 		}
@@ -323,7 +318,7 @@ func (p *Program) Send(round int) []sim.Message {
 		if !p.shrunk {
 			p.shrinkCols()
 		}
-		m := smallColsMsg{Cols: p.smallCols}
+		var m sim.Message = smallColsMsg{Cols: p.smallCols}
 		for q := range out {
 			out[q] = m
 		}
@@ -399,7 +394,7 @@ func (p *Program) applyOffers(ownElem rational.Rat, elemAt func(q int) rational.
 	for q := 0; q < p.deg; q++ {
 		elem := elemAt(q)
 		if p.edgeActive(q) {
-			p.y[q] = p.y[q].Add(rational.Min(ownElem, elem))
+			p.pay(q, rational.Min(ownElem, elem))
 		}
 		if !elem.Equal(ownElem) {
 			p.mcol[q] = true
@@ -407,7 +402,7 @@ func (p *Program) applyOffers(ownElem rational.Rat, elemAt func(q int) rational.
 		p.nbrSeq[q] = append(p.nbrSeq[q], elem)
 	}
 	p.ownSeq = append(p.ownSeq, ownElem)
-	p.recomputeResidual()
+	p.checkResidual()
 }
 
 // recvOffers is the boxed decoder over applyOffers.
@@ -417,10 +412,15 @@ func (p *Program) recvOffers(msgs []sim.Message) {
 	})
 }
 
-// recomputeResidual refreshes r(v) and the saturation flag.
-func (p *Program) recomputeResidual() {
-	load := rational.Sum(p.y...)
-	p.r = p.w.Sub(load)
+// pay adds inc to port q's edge and takes it off the residual, which so
+// stays r(v) = w(v) − Σ y exactly, in value and in representation.
+func (p *Program) pay(q int, inc rational.Rat) {
+	p.y[q] = p.y[q].Add(inc)
+	p.r = p.r.Sub(inc)
+}
+
+// checkResidual refreshes the saturation flag after a batch of pays.
+func (p *Program) checkResidual() {
 	switch p.r.Sign() {
 	case -1:
 		panic(fmt.Sprintf("edgepack: node overpacked: r = %v", p.r))
@@ -433,11 +433,14 @@ func (p *Program) recomputeResidual() {
 
 // orient computes the Phase II orientation and forest decomposition at
 // the transition out of Phase I: unsaturated edges point from lower to
-// higher colour, and a node's i-th outgoing edge joins forest i.
+// higher colour, and a node's i-th outgoing edge joins forest i.  It
+// then takes the first Cole–Vishkin step itself: a parent's colour is
+// its Phase I sequence, which this node already holds in nbrSeq, so the
+// step needs no round and every colour leaves it as a word.
 func (p *Program) orient() {
 	p.oriented = true
-	ownEnc := colour.EncodeRatSeq(p.ownSeq)
-	delta := p.env.Params.Delta
+	l := layoutOf(p.env.Params)
+	delta := l.delta
 	if cap(p.parentOf) >= delta {
 		p.parentOf = p.parentOf[:delta]
 	} else {
@@ -451,8 +454,7 @@ func (p *Program) orient() {
 		if !p.rPos || !p.nPos[q] {
 			continue // edge saturated in Phase I
 		}
-		nbrEnc := colour.EncodeRatSeq(p.nbrSeq[q])
-		cmp := ownEnc.Cmp(nbrEnc)
+		cmp := l.cmp(p.ownSeq, p.nbrSeq[q])
 		if cmp == 0 {
 			panic("edgepack: unsaturated edge with equal colours after Phase I (Lemma 1 violated)")
 		}
@@ -462,9 +464,13 @@ func (p *Program) orient() {
 			forest++
 		}
 	}
-	p.forestCols = make([]*big.Int, delta)
-	for i := range p.forestCols {
-		p.forestCols[i] = ownEnc
+	p.forestCols = make([]uint64, delta)
+	for i, q := range p.parentOf {
+		if q >= 0 {
+			p.forestCols[i] = l.cvStep(p.ownSeq, p.nbrSeq[q])
+		} else {
+			p.forestCols[i] = l.cvRootStep(p.ownSeq)
+		}
 	}
 }
 
@@ -472,13 +478,12 @@ func (p *Program) orient() {
 // slice is allocated because the previous one was shared with sent
 // messages, which consumers may retain.
 func (p *Program) recvCV(msgs []sim.Message) {
-	next := make([]*big.Int, len(p.forestCols))
-	for i := range p.forestCols {
+	next := make([]uint64, len(p.forestCols))
+	for i, own := range p.forestCols {
 		if q := p.parentOf[i]; q >= 0 {
-			parentCols := msgs[q].(cvMsg).Cols
-			next[i] = colour.CVStep(p.forestCols[i], parentCols[i])
+			next[i] = colour.CVStep64(own, msgs[q].(cvMsg).Cols[i])
 		} else {
-			next[i] = colour.CVRootStep(p.forestCols[i])
+			next[i] = colour.CVRootStep64(own)
 		}
 	}
 	p.forestCols = next
@@ -496,10 +501,10 @@ func (p *Program) shrinkCols() {
 		p.preShift = make([]int8, n)
 	}
 	for i, c := range p.forestCols {
-		if c.BitLen() > 3 || c.Int64() > 5 {
-			panic(fmt.Sprintf("edgepack: colour %v escaped the CV plateau", c))
+		if c > 5 {
+			panic(fmt.Sprintf("edgepack: colour %d escaped the CV plateau", c))
 		}
-		p.smallCols[i] = int8(c.Int64())
+		p.smallCols[i] = int8(c)
 	}
 }
 
@@ -593,9 +598,9 @@ func (p *Program) applyStarRequests(reqAt func(q int) (rational.Rat, bool)) {
 		}
 		p.pendingReply[q] = inc
 		p.pendingMask[q] = true
-		p.y[q] = p.y[q].Add(inc)
+		p.pay(q, inc)
 	}
-	p.recomputeResidual()
+	p.checkResidual()
 }
 
 // recvStarRequests is the boxed decoder over applyStarRequests.
@@ -614,8 +619,8 @@ func (p *Program) applyStarReplies(forest int, col int8, incAt func(q int) (rati
 	if p.parentOf[forest] >= 0 && p.smallCols[forest] == col {
 		q := p.parentOf[forest]
 		if inc, ok := incAt(q); ok {
-			p.y[q] = p.y[q].Add(inc)
-			p.recomputeResidual()
+			p.pay(q, inc)
+			p.checkResidual()
 		}
 	}
 	p.pendingActive = false

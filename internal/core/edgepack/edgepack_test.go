@@ -248,41 +248,63 @@ func TestLiftInvariance(t *testing.T) {
 
 // TestPhaseIIColouring (white box): after a run on a weighted instance
 // that needs Phase II, per-forest colours must be a proper 3-colouring of
-// the oriented forests.
+// the oriented forests.  The second instance has the benchmark's Δ=12,
+// W=1000 parameters; its star phase promotes values past int64.  (Its
+// Phase I elements stay small; seqcolour_test.go drives the colour code
+// with promoted elements.)
 func TestPhaseIIColouring(t *testing.T) {
-	g := graph.RandomBoundedDegree(40, 90, 6, 21)
-	graph.RandomWeights(g, 40, 22)
-	params := sim.GraphParams(g)
-	envs := sim.GraphEnvs(g, params)
-	progs := make([]sim.PortProgram, g.N())
-	nodes := make([]*Program, g.N())
-	for v := range progs {
-		nodes[v] = New(envs[v])
-		progs[v] = nodes[v]
-	}
-	sim.RunPort(g, progs, Rounds(params), sim.Options{})
-	sawEdge := false
-	for v, nd := range nodes {
-		if nd.smallCols == nil {
-			continue
+	g1 := graph.RandomBoundedDegree(40, 90, 6, 21)
+	graph.RandomWeights(g1, 40, 22)
+	g2 := graph.PowerLawBounded(400, 3, 12, 23)
+	graph.RandomWeights(g2, 1000, 24)
+	for _, c := range []struct {
+		g            *graph.G
+		params       sim.Params
+		wantPromoted bool
+	}{
+		{g1, sim.GraphParams(g1), false},
+		{g2, sim.Params{Delta: 12, W: 1000}, true},
+	} {
+		g := c.g
+		envs := sim.GraphEnvs(g, c.params)
+		progs := make([]sim.PortProgram, g.N())
+		nodes := make([]*Program, g.N())
+		for v := range progs {
+			nodes[v] = New(envs[v])
+			progs[v] = nodes[v]
 		}
-		for i, q := range nd.parentOf {
-			if q < 0 {
+		if _, err := sim.RunPort(g, progs, Rounds(c.params), sim.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		sawEdge, promoted := false, false
+		for v, nd := range nodes {
+			for _, x := range nd.y {
+				promoted = promoted || x.IsBig()
+			}
+			if nd.smallCols == nil {
 				continue
 			}
-			sawEdge = true
-			own := nd.smallCols[i]
-			if own < 0 || own > 2 {
-				t.Fatalf("node %d forest %d colour %d outside {0,1,2}", v, i, own)
-			}
-			parent := nodes[g.Ports(v)[q].To]
-			if parent.smallCols[i] == own {
-				t.Fatalf("forest %d edge %d->%d monochromatic", i, v, g.Ports(v)[q].To)
+			for i, q := range nd.parentOf {
+				if q < 0 {
+					continue
+				}
+				sawEdge = true
+				own := nd.smallCols[i]
+				if own < 0 || own > 2 {
+					t.Fatalf("node %d forest %d colour %d outside {0,1,2}", v, i, own)
+				}
+				parent := nodes[g.Ports(v)[q].To]
+				if parent.smallCols[i] == own {
+					t.Fatalf("forest %d edge %d->%d monochromatic", i, v, g.Ports(v)[q].To)
+				}
 			}
 		}
-	}
-	if !sawEdge {
-		t.Skip("instance saturated entirely in Phase I; no forests to check")
+		if !sawEdge {
+			t.Fatalf("Δ=%d instance saturated entirely in Phase I; no forests to check", c.params.Delta)
+		}
+		if promoted != c.wantPromoted {
+			t.Fatalf("Δ=%d instance: promoted packing values %v, want %v", c.params.Delta, promoted, c.wantPromoted)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 //	offer rounds    header | n, d        raw rational (2 words)
 //	status rounds   header | bit
-//	CV rounds       boxed — unbounded big.Int colours (WireWords = 0)
+//	CV rounds       boxed — one uint64 colour per forest (WireWords = 0)
 //	shift rounds    header | colours     one byte per forest
 //	star rounds     header | n, d        mostly idle lanes
 //
@@ -98,7 +98,7 @@ func wireLaneWords(p sim.Params) int {
 func (p *Program) WireWords(round int) int {
 	seg, _ := p.sched.Locate(round)
 	if seg == segCV {
-		return 0 // unbounded colours travel boxed
+		return 0 // word colours, one per forest, travel boxed
 	}
 	return wireLaneWords(p.env.Params)
 }

@@ -56,8 +56,13 @@ func FromFrac(n, d int64) Rat {
 func FromBig(r *big.Rat) Rat { return fromBig(new(big.Rat).Set(r)) }
 
 // fromBig adopts r (which must already be normalized, as big.Rat always
-// is), demoting to the fast path when the value fits in int64.
+// is), demoting to the fast path when the value fits in int64.  Zero
+// demotes to the zero value, exactly as tryNorm returns it, so a result's
+// representation never depends on which path computed it.
 func fromBig(r *big.Rat) Rat {
+	if r.Sign() == 0 {
+		return Zero
+	}
 	if r.Num().IsInt64() && r.Denom().IsInt64() {
 		return Rat{n: r.Num().Int64(), d: r.Denom().Int64()}
 	}
@@ -358,6 +363,18 @@ func (x Rat) Raw() (n, d int64, ok bool) {
 		return 0, 0, false
 	}
 	return x.n, x.d, true
+}
+
+// Parts exposes the value's numerator and denominator without copying.
+// For a fast-path value it returns them as n and d (d >= 1) with nil
+// big parts; for a promoted value it returns bn and bd, the shared
+// big.Ints inside the value, which the caller must only read.  The
+// colour construction reads sequences of values through it.
+func (x Rat) Parts() (n, d int64, bn, bd *big.Int) {
+	if x.b != nil {
+		return 0, 0, x.b.Num(), x.b.Denom()
+	}
+	return x.n, x.den(), nil, nil
 }
 
 // FromRaw rebuilds a Rat from a representation produced by Raw.  The

@@ -330,3 +330,44 @@ func TestWireBytesFastPath(t *testing.T) {
 		t.Errorf("promoted WireBytes = %d, want %d", got, want)
 	}
 }
+
+// TestParts: Parts reads both representations without copying — the
+// fast-path pair with the zero value's denominator decoded to 1, and the
+// promoted value's own big.Ints.
+func TestParts(t *testing.T) {
+	for _, c := range []struct {
+		x    Rat
+		n, d int64
+	}{{Zero, 0, 1}, {One, 1, 1}, {FromFrac(-6, 4), -3, 2}, {FromInt(1 << 40), 1 << 40, 1}} {
+		n, d, bn, bd := c.x.Parts()
+		if n != c.n || d != c.d || bn != nil || bd != nil {
+			t.Errorf("Parts(%v) = %d, %d, %v, %v; want %d, %d, nil, nil", c.x, n, d, bn, bd, c.n, c.d)
+		}
+	}
+	big := FromFrac(math.MaxInt64, 3).Mul(FromFrac(math.MaxInt64, 5))
+	_, _, bn, bd := big.Parts()
+	if bn != big.b.Num() || bd != big.b.Denom() {
+		t.Fatal("Parts copied the promoted value's parts")
+	}
+	if bn.Cmp(big.Num()) != 0 || bd.Cmp(big.Den()) != 0 {
+		t.Fatalf("Parts(%v) = %v/%v", big, bn, bd)
+	}
+	if a := testing.AllocsPerRun(10, func() { _, _, _, _ = big.Parts() }); a != 0 {
+		t.Fatalf("Parts on a promoted value allocates %v times", a)
+	}
+}
+
+// TestZeroRepresentationCanonical: a zero computed on the big path
+// demotes to the zero value, the same representation the fast path
+// returns, so equal results have equal raw forms whichever path made
+// them.
+func TestZeroRepresentationCanonical(t *testing.T) {
+	x := FromFrac(math.MaxInt64-1, math.MaxInt64) // a·d overflows int64 in x − x
+	z := x.Sub(x)
+	if n, d, ok := z.Raw(); !ok || n != 0 || d != 0 {
+		t.Fatalf("x − x has raw form (%d, %d, %v), want the zero value", n, d, ok)
+	}
+	if FromBig(new(big.Rat)) != Zero {
+		t.Fatal("FromBig(0) is not the zero value")
+	}
+}
