@@ -37,11 +37,11 @@ func (b *GraphBuilder) SetWeight(v int, w int64) *GraphBuilder {
 func (b *GraphBuilder) Build() *Graph { return &Graph{g: b.b.Build()} }
 
 // WrapGraph adopts an already-built internal graph.  It exists for the
-// serving layer, which holds internal graphs (e.g. the one a
-// distributed session was compiled from) and needs to compile a local
-// solver over the same topology and weights — the distributed failover
-// path.  Outside this module the parameter type is unconstructible, so
-// the function is inert.
+// serving layer, which parses every vertex-cover body into an internal
+// graph (the form a distributed session compiles from) and compiles
+// local solvers over the same topology and weights.  Outside this
+// module the parameter type is unconstructible, so the function is
+// inert.
 func WrapGraph(g *graph.G) *Graph { return &Graph{g: g} }
 
 // N returns the number of nodes.

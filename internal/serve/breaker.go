@@ -1,20 +1,27 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"time"
+
+	"anoncover/internal/dist"
 )
 
 // breaker is the per-fleet circuit breaker guarding the distributed
 // path.  Consecutive fleet failures open it, quarantining the dist
-// path so requests flow through the local failover solvers without
-// paying a doomed fleet attempt first.  After a cooldown, one trial
+// path so requests run on their entries' local halves without paying
+// a doomed fleet attempt first.  After a cooldown, one trial
 // request probes the fleet half-open: success re-closes the breaker,
 // failure re-opens it for another cooldown.
 //
-// The failures it counts are the serve layer's distTransient verdicts
-// — transport and worker faults — never the client's own cancellation
-// or semantic run errors, which say nothing about fleet health.
+// Every allow() that admits a request is followed by exactly one fleet
+// call (a fleet-backed session's compile, weight install and run) and
+// settled by that call's verdict.  The failures it counts are
+// dist.Transient faults — transport and worker faults — never the
+// client's own cancellation or semantic run errors, which say nothing
+// about fleet health.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -102,14 +109,22 @@ func (b *breaker) failure() {
 	}
 }
 
-// forgive returns an allow() admission that ended without a fleet
-// verdict — a memo hit, a coalesced join, or a client-side error
-// before any fleet contact.  Without it a half-open trial that never
-// reached the fleet would starve the probe slot forever.
-func (b *breaker) forgive() {
-	b.mu.Lock()
-	b.trial = false
-	b.mu.Unlock()
+// settle records the verdict of the fleet call an allow() admitted.
+// A fleet fault is a failure; a fleet answer — a cover, or the round
+// budget or wire verdict the algorithm reached — is a success.  A call
+// cut short by the caller's own context says nothing about the fleet:
+// it only hands the half-open trial slot back.
+func (b *breaker) settle(err error) {
+	switch {
+	case dist.Transient(err):
+		b.failure()
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		b.mu.Lock()
+		b.trial = false
+		b.mu.Unlock()
+	default:
+		b.success()
+	}
 }
 
 func (b *breaker) stateName() string {

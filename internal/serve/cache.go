@@ -6,12 +6,7 @@ import (
 	"sync"
 )
 
-// closer is what the cache knows about a compiled solver: it can be
-// released.  anoncover.Solver and anoncover.SetCoverSolver both
-// satisfy it.
-type closer interface{ Close() error }
-
-// entry is one cached solver keyed by its topology fingerprint.
+// entry is one cached session keyed by its topology fingerprint.
 //
 // Lifecycle: acquire inserts a placeholder and the inserting request
 // compiles outside the cache lock while concurrent requests for the
@@ -20,10 +15,10 @@ type closer interface{ Close() error }
 // refcounted: eviction only marks an entry dead, and the solver's
 // Close runs when the last in-flight request releases it, so a run is
 // never torn down under a live request.
-type entry[S closer] struct {
+type entry struct {
 	key    string
 	ready  chan struct{} // closed once solver/err are set
-	solver S
+	solver session
 	err    error
 
 	refs   int // guarded by cache.mu
@@ -41,31 +36,33 @@ type entry[S closer] struct {
 	memo       *memo
 }
 
-// cache is a fingerprint-keyed LRU of compiled solvers with
-// single-flight compilation and refcounted eviction.
-type cache[S closer] struct {
+// cache is a fingerprint-keyed LRU of compiled sessions of one kind
+// with single-flight compilation and refcounted eviction.
+type cache struct {
+	kind    string // "vertexcover" or "setcover"
 	mu      sync.Mutex
 	max     int
-	entries map[string]*entry[S]
-	lru     *list.List // front = most recently used; values are *entry[S]
+	entries map[string]*entry
+	lru     *list.List // front = most recently used; values are *entry
 	ctrs    *counters
 	memoCap int
 }
 
-func newCache[S closer](max, memoCap int, ctrs *counters) *cache[S] {
-	return &cache[S]{
-		max: max, entries: make(map[string]*entry[S]),
+func newCache(kind string, max, memoCap int, ctrs *counters) *cache {
+	return &cache{
+		kind: kind, max: max, entries: make(map[string]*entry),
 		lru: list.New(), ctrs: ctrs, memoCap: memoCap,
 	}
 }
 
 // acquire returns the entry for key, compiling it through compile on a
-// miss.  hit reports whether an already compiled (or compiling) solver
-// served the request.  Waiting for another request's in-flight compile
-// honours ctx, so an abandoned client frees its admission slot instead
-// of parking on a slow compile.  The caller must release the entry
-// when done with the solver; on error no reference is retained.
-func (c *cache[S]) acquire(ctx context.Context, key string, compile func() (S, error)) (e *entry[S], hit bool, err error) {
+// miss.  hit reports whether an already compiled (or compiling) session
+// served the request; a hit counts in CacheHits.  Waiting for another
+// request's in-flight compile honours ctx, so an abandoned client frees
+// its admission slot instead of parking on a slow compile.  The caller
+// must release the entry when done with the session; on error no
+// reference is retained.
+func (c *cache) acquire(ctx context.Context, key string, compile func() (session, error)) (e *entry, hit bool, err error) {
 	c.mu.Lock()
 	if e = c.entries[key]; e != nil {
 		e.refs++
@@ -81,9 +78,10 @@ func (c *cache[S]) acquire(ctx context.Context, key string, compile func() (S, e
 			c.release(e)
 			return nil, true, e.err
 		}
+		c.ctrs.CacheHits.Add(1)
 		return e, true, nil
 	}
-	e = &entry[S]{key: key, ready: make(chan struct{}), refs: 1, memo: newMemo(c.memoCap)}
+	e = &entry{key: key, ready: make(chan struct{}), refs: 1, memo: newMemo(c.memoCap)}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.evictOverflowLocked()
@@ -103,9 +101,10 @@ func (c *cache[S]) acquire(ctx context.Context, key string, compile func() (S, e
 }
 
 // lookup returns the entry for key without compiling, or nil when the
-// topology is not cached.  The caller must release a non-nil entry;
-// waiting on an in-flight compile honours ctx like acquire.
-func (c *cache[S]) lookup(ctx context.Context, key string) (*entry[S], error) {
+// topology is not cached; a found entry counts in CacheHits.  The
+// caller must release a non-nil entry; waiting on an in-flight compile
+// honours ctx like acquire.
+func (c *cache) lookup(ctx context.Context, key string) (*entry, error) {
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {
@@ -125,6 +124,7 @@ func (c *cache[S]) lookup(ctx context.Context, key string) (*entry[S], error) {
 		c.release(e)
 		return nil, e.err
 	}
+	c.ctrs.CacheHits.Add(1)
 	return e, nil
 }
 
@@ -133,7 +133,7 @@ func (c *cache[S]) lookup(ctx context.Context, key string) (*entry[S], error) {
 // overflow that persisted because every LRU-tail entry was referenced
 // must be trimmed when those references drain, not only on the next
 // compile miss.
-func (c *cache[S]) release(e *entry[S]) {
+func (c *cache) release(e *entry) {
 	c.mu.Lock()
 	e.refs--
 	closeNow := e.dead && e.refs == 0
@@ -152,11 +152,11 @@ func (c *cache[S]) release(e *entry[S]) {
 // requests, which admission control bounds — and so are pinned
 // entries, which operators have promised a slot (the cache then holds
 // capacity + pinned solvers; pinning is an explicit operator trade).
-func (c *cache[S]) evictOverflowLocked() {
+func (c *cache) evictOverflowLocked() {
 	for c.lru.Len() > c.max {
-		victim := (*entry[S])(nil)
+		victim := (*entry)(nil)
 		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			if cand := el.Value.(*entry[S]); cand.refs == 0 && !cand.pinned {
+			if cand := el.Value.(*entry); cand.refs == 0 && !cand.pinned {
 				victim = cand
 				break
 			}
@@ -176,7 +176,7 @@ func (c *cache[S]) evictOverflowLocked() {
 // entry (and reinitialized the LRU ring) while a failing compile was
 // in flight, and removing a stale element again would corrupt the
 // fresh ring.
-func (c *cache[S]) removeLocked(e *entry[S]) {
+func (c *cache) removeLocked(e *entry) {
 	if e.dead {
 		return
 	}
@@ -186,14 +186,14 @@ func (c *cache[S]) removeLocked(e *entry[S]) {
 }
 
 // closeSolver closes the compiled solver, if compilation succeeded.
-func (e *entry[S]) closeSolver() {
+func (e *entry) closeSolver() {
 	if e.err == nil {
 		e.solver.Close()
 	}
 }
 
 // len reports the number of cached entries.
-func (c *cache[S]) len() int {
+func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
@@ -211,12 +211,12 @@ type solverInfo struct {
 
 // list snapshots the cache contents in LRU order (most recently used
 // first) for the cache operations API.
-func (c *cache[S]) list(kind string) []solverInfo {
+func (c *cache) list() []solverInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]solverInfo, 0, c.lru.Len())
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry[S])
+		e := el.Value.(*entry)
 		compiling := true
 		select {
 		case <-e.ready:
@@ -224,7 +224,7 @@ func (c *cache[S]) list(kind string) []solverInfo {
 		default:
 		}
 		out = append(out, solverInfo{
-			Fingerprint: e.key, Kind: kind, Refs: e.refs,
+			Fingerprint: e.key, Kind: c.kind, Refs: e.refs,
 			Pinned: e.pinned, MemoEntries: e.memo.len(), Compiling: compiling,
 		})
 	}
@@ -235,7 +235,7 @@ func (c *cache[S]) list(kind string) []solverInfo {
 // key was cached.  Like LRU eviction it only unlinks: a solver still
 // referenced by in-flight requests closes when the last reference
 // releases.
-func (c *cache[S]) remove(key string) bool {
+func (c *cache) remove(key string) bool {
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {
@@ -257,7 +257,7 @@ func (c *cache[S]) remove(key string) bool {
 // setPinned pins or unpins an entry, reporting whether the key was
 // cached.  Unpinning re-runs eviction: overflow the pin was holding
 // back must drain.
-func (c *cache[S]) setPinned(key string, pinned bool) bool {
+func (c *cache) setPinned(key string, pinned bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -271,13 +271,31 @@ func (c *cache[S]) setPinned(key string, pinned bool) bool {
 	return true
 }
 
-// pinnedCount reports the number of pinned entries.
-func (c *cache[S]) pinnedCount() int {
+// count reports the compiled sessions that satisfy pred.
+func (c *cache) count(pred func(session) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		if el.Value.(*entry[S]).pinned {
+		e := el.Value.(*entry)
+		select {
+		case <-e.ready:
+			if e.err == nil && pred(e.solver) {
+				n++
+			}
+		default:
+		}
+	}
+	return n
+}
+
+// pinnedCount reports the number of pinned entries.
+func (c *cache) pinnedCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if el.Value.(*entry).pinned {
 			n++
 		}
 	}
@@ -286,9 +304,9 @@ func (c *cache[S]) pinnedCount() int {
 
 // closeAll evicts everything; entries still referenced close when
 // their last reference releases.
-func (c *cache[S]) closeAll() {
+func (c *cache) closeAll() {
 	c.mu.Lock()
-	var toClose []*entry[S]
+	var toClose []*entry
 	for _, e := range c.entries {
 		if !e.dead {
 			if e.refs == 0 {
@@ -297,7 +315,7 @@ func (c *cache[S]) closeAll() {
 			e.dead = true
 		}
 	}
-	c.entries = make(map[string]*entry[S])
+	c.entries = make(map[string]*entry)
 	c.lru.Init()
 	c.mu.Unlock()
 	// A ref-free entry is always fully compiled: the compiling request
@@ -323,14 +341,14 @@ type memo struct {
 
 type memoItem struct {
 	key string
-	val any
+	val response
 }
 
 func newMemo(max int) *memo {
 	return &memo{max: max, m: make(map[string]*list.Element), lru: list.New()}
 }
 
-func (mm *memo) get(key string) (any, bool) {
+func (mm *memo) get(key string) (response, bool) {
 	if mm.max <= 0 {
 		return nil, false
 	}
@@ -350,7 +368,7 @@ func (mm *memo) len() int {
 	return mm.lru.Len()
 }
 
-func (mm *memo) put(key string, val any) {
+func (mm *memo) put(key string, val response) {
 	if mm.max <= 0 {
 		return
 	}

@@ -22,9 +22,9 @@ import "sync"
 // done (or their own context).
 type flight struct {
 	done   chan struct{}
-	resp   any    // vcResponse or scResponse; valid when errMsg == ""
-	status int    // HTTP status when errMsg != ""
-	errMsg string // non-empty when the leader's run failed
+	resp   response // valid when errMsg == ""
+	status int      // HTTP status when errMsg != ""
+	errMsg string   // non-empty when the leader's run failed
 }
 
 // flights is the single-flight registry, keyed by the request's full

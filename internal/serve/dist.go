@@ -2,348 +2,162 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
-	"strings"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"anoncover"
 	"anoncover/internal/check"
-	"anoncover/internal/core/edgepack"
 	"anoncover/internal/dist"
 	"anoncover/internal/graph"
 )
 
 // Distributed serving: when Config.WorkerAddrs is set, the server is
 // the coordinator of a worker fleet (anoncoverd -worker processes) and
-// plain port-model vertex-cover requests execute across it — the
-// coordinator ships per-worker shard plans once per topology, workers
-// exchange halo frames directly, and the serving layers above (solver
-// cache, weight snapshots, memo, coalescing, admission) work unchanged
-// on top of distributed sessions.  Requests the fleet cannot serve
-// (broadcast model, per-request engine overrides, progress streams)
-// fall back to the local solver path; results are bit-identical either
-// way, which is what lets the two paths share one service surface.
+// every vertex-cover cache entry is a fleetVC.  One entry per
+// fingerprint holds two lazily compiled halves over the same graph: a
+// dist.Session that ships per-worker shard plans once and runs across
+// the fleet, and a local anoncover.Solver.  Plain port-model requests
+// run on the fleet half; broadcast, engine overrides and progress
+// streams, fleet faults and an open breaker run on the local half.
+// The algorithms are deterministic in the port-numbering model, so
+// both halves return bit-identical covers, which is what lets a fleet
+// fault be answered by a local re-run.
 
-// distSolver adapts one dist.Session to the solver cache: Close for
-// eviction, UpdateWeights for the snapshot-install path, and a
-// serialized run method (the fleet executes one run per session at a
-// time; the mutex turns concurrent requests into a queue instead of
-// worker-side rejections).
-type distSolver struct {
-	sess *dist.Session
+// fleetVC is the fleet-backed vertex-cover session: the failover
+// decorator over a fleet half and a local half.
+type fleetVC struct {
+	s *Server
+	g *graph.G // the uploaded topology; both halves compile over it
 
-	mu      sync.Mutex
-	weights []int64 // fleet's current snapshot, global node order
+	wmu     sync.Mutex
+	weights []int64 // the entry's snapshot, global node order
+
+	// fmu serializes the fleet half: compile, weight install and run
+	// (the fleet executes one run per session at a time; the mutex
+	// turns concurrent requests into a queue instead of worker-side
+	// rejections).
+	fmu    sync.Mutex
+	fleet  atomic.Pointer[dist.Session]
+	fleetW []int64 // the weights the fleet holds
+
+	lmu   sync.Mutex
+	local *anoncover.Solver
 }
 
-func newDistSolver(coord *dist.Coordinator, g *graph.G) (*distSolver, error) {
-	sess, err := coord.CompileVC(g)
-	if err != nil {
-		return nil, &fleetErr{err}
+func newFleetVC(s *Server, g *graph.G) *fleetVC {
+	return &fleetVC{s: s, g: g, weights: g.Weights()}
+}
+
+// Close closes whichever halves were compiled.
+func (f *fleetVC) Close() error {
+	if d := f.fleet.Load(); d != nil {
+		d.Close()
 	}
-	return &distSolver{sess: sess, weights: g.Weights()}, nil
-}
-
-func (d *distSolver) Close() error { return d.sess.Close() }
-
-// graph returns the internal graph the session was compiled from, the
-// topology the failover path compiles a local solver over.
-func (d *distSolver) graph() *graph.G { return d.sess.Graph() }
-
-// fleetErr marks an error that came back from an actual fleet call
-// (compile, weight broadcast, run) as opposed to serve-side validation
-// failing before any fleet contact.  Only marked errors are failover
-// candidates: a bad weight vector would fail identically on a local
-// solver, so re-executing it locally is waste, not resilience.
-type fleetErr struct{ err error }
-
-func (e *fleetErr) Error() string { return e.err.Error() }
-func (e *fleetErr) Unwrap() error { return e.err }
-
-// distTransient reports whether err warrants transparent local
-// failover: it reached the fleet, the fleet (not the client or the
-// algorithm) faulted, and the request's own context is still live so a
-// local re-execution can complete.
-func distTransient(ctx context.Context, err error) bool {
-	var fe *fleetErr
-	if !errors.As(err, &fe) {
-		return false
+	if f.local != nil {
+		f.local.Close()
 	}
-	return ctx.Err() == nil && dist.Transient(fe.err)
+	return nil
 }
 
-// Weights returns the fleet's current snapshot vector.
-func (d *distSolver) Weights() []int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]int64(nil), d.weights...)
+// Weights returns the entry's current snapshot vector.
+func (f *fleetVC) Weights() []int64 {
+	f.wmu.Lock()
+	defer f.wmu.Unlock()
+	return append([]int64(nil), f.weights...)
 }
 
-// UpdateWeights broadcasts a new snapshot to every worker; the
-// signature matches the local solvers so installSnapshot serves both.
-func (d *distSolver) UpdateWeights(w []int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.installLocked(w)
-}
-
-func (d *distSolver) installLocked(w []int64) error {
-	if len(w) != d.sess.N() {
-		return fmt.Errorf("%d weights for %d nodes", len(w), d.sess.N())
+// UpdateWeights validates and records a new snapshot.  No half is
+// touched: the fleet half installs the vector before its next run and
+// the local half runs with it pinned, so a request the fleet never
+// serves never reaches it.
+func (f *fleetVC) UpdateWeights(w []int64) error {
+	if len(w) != f.g.N() {
+		return fmt.Errorf("%d weights for %d nodes", len(w), f.g.N())
 	}
 	for i, x := range w {
 		if x <= 0 {
 			return fmt.Errorf("non-positive weight %d at node %d", x, i)
 		}
 	}
-	if weightsEqual(d.weights, w) {
-		return nil
-	}
-	if err := d.sess.UpdateVCWeights(w); err != nil {
-		return &fleetErr{err}
-	}
-	d.weights = append([]int64(nil), w...)
+	f.wmu.Lock()
+	f.weights = append([]int64(nil), w...)
+	f.wmu.Unlock()
 	return nil
 }
 
-// run executes one distributed vertex-cover run pinned to the given
-// weights, re-installing the fleet snapshot first if a concurrent
-// request moved it.  It returns the weight view the run used, for
-// response assembly and verification.
-func (d *distSolver) run(ctx context.Context, weights []int64, opt dist.RunOptions) (*edgepack.Result, *graph.G, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.installLocked(weights); err != nil {
-		return nil, nil, fmt.Errorf("updating weights: %w", err)
+// run routes one request to a half.  A dist-eligible request the
+// breaker admits runs on the fleet; the breaker is settled by that
+// call's verdict.  A fleet fault while the request's own context is
+// live re-runs on the local half, labelled dist_failover.  Everything
+// else runs on the local half directly.
+func (f *fleetVC) run(ctx context.Context, p runParams, w []int64, obs func(anoncover.RoundInfo)) (ran, error) {
+	if !p.distEligible() || !f.s.brk.allow() {
+		return f.runLocal(ctx, p, w, obs)
 	}
-	res, err := d.sess.VertexCover(ctx, opt)
+	traceFrom(ctx).setEngine("distributed")
+	out, err := f.runFleet(ctx, p, w)
+	f.s.brk.settle(err)
+	if err == nil || !dist.Transient(err) || ctx.Err() != nil {
+		return out, err
+	}
+	f.s.ctrs.DistFailovers.Add(1)
+	out, err = f.runLocal(ctx, p, w, obs)
+	out.failover = true
+	return out, err
+}
+
+// fleetHalfLocked returns the fleet half, compiling it on first need;
+// the caller holds fmu.
+func (f *fleetVC) fleetHalfLocked(ctx context.Context) (*dist.Session, error) {
+	if d := f.fleet.Load(); d != nil {
+		return d, nil
+	}
+	d, err := compileTimed(ctx, f.s, func() (*dist.Session, error) { return f.s.coord.CompileVC(f.g) })
 	if err != nil {
-		return nil, nil, &fleetErr{err}
+		return nil, err
 	}
-	return res, d.sess.Graph(), nil
+	f.fleet.Store(d)
+	f.fleetW = f.g.Weights()
+	return d, nil
 }
 
-func weightsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, x := range a {
-		if x != b[i] {
-			return false
+// localHalf returns the local half, compiling it on first need.
+func (f *fleetVC) localHalf(ctx context.Context) (*anoncover.Solver, error) {
+	f.lmu.Lock()
+	defer f.lmu.Unlock()
+	if f.local == nil {
+		sol, err := compileTimed(ctx, f.s, func() (*anoncover.Solver, error) {
+			return anoncover.Compile(anoncover.WrapGraph(f.g), f.s.sessionOpts()...)
+		})
+		if err != nil {
+			return nil, err
 		}
+		f.local = sol
 	}
-	return true
+	return f.local, nil
 }
 
-// distEligible reports whether the request can execute on the fleet:
-// a plain port-model run with no engine override and no progress
-// stream (the distributed barrier has no per-round observer hook; such
-// requests fall back to the local path with bit-identical results),
-// and the circuit breaker admits it — while the breaker is open the
-// whole dist path is quarantined and requests flow straight to the
-// local solvers without paying a doomed fleet attempt.  A true return
-// in half-open state takes the breaker's single trial slot; every path
-// out of the dist handlers must settle it (success, failure, or
-// forgive).
-func (s *Server) distEligible(p runParams) bool {
-	return s.coord != nil && p.model == "port" && len(p.engine) == 0 && p.progress == "" &&
-		s.brk.allow()
-}
-
-// distVerdict settles the breaker for a failed fleet call and reports
-// whether the request should fail over to a local solver: a fleet
-// fault counts against the breaker and (while the request's own
-// context is live) is absorbed locally; anything else — serve-side
-// validation, client cancellation, semantic run errors — forgives the
-// admission and surfaces through the normal error path.
-func (s *Server) distVerdict(ctx context.Context, err error) bool {
-	if !distTransient(ctx, err) {
-		var fe *fleetErr
-		if errors.As(err, &fe) && dist.Transient(fe.err) {
-			// A fleet fault whose requester died: the breaker learns
-			// about the fleet, but there is nobody to fail over for.
-			s.brk.failure()
-		} else {
-			s.brk.forgive()
-		}
-		return false
-	}
-	s.brk.failure()
-	s.ctrs.DistFailovers.Add(1)
-	return true
-}
-
-// failoverVC transparently re-executes a fleet-faulted request on a
-// local solver compiled over the distributed session's own graph: same
-// topology, same request weights, so by the engine-equivalence
-// contract the response is bit-identical to what the fleet would have
-// produced.  The local solver lands in the regular vertex-cover cache
-// under the same fingerprint — repeated failovers (a dead worker, an
-// open breaker) compile once and hit thereafter.
-func (s *Server) failoverVC(ctx context.Context, p runParams, gv *graph.G,
-	fp string, weights []int64) (vcResponse, int, string) {
-
-	e, hit, err := s.vc.acquire(ctx, fp, func() (*anoncover.Solver, error) {
-		s.ctrs.Compiles.Add(1)
-		t0 := time.Now()
-		sol, cerr := anoncover.Compile(anoncover.WrapGraph(gv), s.sessionOpts()...)
-		traceFrom(ctx).mark(phaseCompile, time.Since(t0))
-		return sol, cerr
-	})
+// runFleet installs w when the fleet holds other weights and runs.
+// Every error it returns came from a fleet call.
+func (f *fleetVC) runFleet(ctx context.Context, p runParams, w []int64) (ran, error) {
+	f.fmu.Lock()
+	defer f.fmu.Unlock()
+	d, err := f.fleetHalfLocked(ctx)
 	if err != nil {
-		return vcResponse{}, s.compileStatus(err), fmt.Sprintf("failover compile: %v", err)
+		return ran{}, err
 	}
-	defer s.vc.release(e)
-	if hit {
-		s.ctrs.CacheHits.Add(1)
-	}
-	return s.execVC(ctx, p, e, fp, weights, "vertexcover", "dist_failover", nil)
-}
-
-// serveVCFailover writes the response for a request the failover path
-// absorbed before a flight could form (session compile or weight
-// broadcast died on a fleet fault).
-func (s *Server) serveVCFailover(w http.ResponseWriter, ctx context.Context, p runParams,
-	gv *graph.G, fp string, weights []int64, start time.Time) {
-
-	tr := traceFrom(ctx)
-	tr.label("vertexcover", fp, "dist_failover")
-	resp, status, errMsg := s.failoverVC(ctx, p, gv, fp, weights)
-	if errMsg != "" {
-		writeError(w, status, "%s", errMsg)
-		return
-	}
-	tr.setCache("dist_failover")
-	tr.result(resp.Rounds, resp.Messages, resp.Bytes)
-	resp.ElapsedMS = msSince(start)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleVCDist serves a dist-eligible full-instance request: acquire
-// or compile the distributed session for the fingerprint, then run the
-// shared memo → coalesce → run pipeline against the fleet.
-func (s *Server) handleVCDist(w http.ResponseWriter, ctx context.Context, p runParams,
-	g *graph.G, fp string, start time.Time) {
-
-	e, hit, err := s.dvc.acquire(ctx, fp, func() (*distSolver, error) {
-		s.ctrs.Compiles.Add(1)
-		t0 := time.Now()
-		sol, cerr := newDistSolver(s.coord, g)
-		traceFrom(ctx).mark(phaseCompile, time.Since(t0))
-		return sol, cerr
-	})
-	if err != nil {
-		if s.distVerdict(ctx, err) {
-			s.serveVCFailover(w, ctx, p, g, fp, g.Weights(), start)
-			return
+	if !slices.Equal(f.fleetW, w) {
+		if err := d.UpdateVCWeights(w); err != nil {
+			return ran{}, fmt.Errorf("updating weights: %w", err)
 		}
-		writeError(w, s.compileStatus(err), "compiling distributed session: %v", err)
-		return
+		f.fleetW = append([]int64(nil), w...)
 	}
-	defer s.dvc.release(e)
-	if hit {
-		s.ctrs.CacheHits.Add(1)
-	}
-	s.serveVCDist(w, ctx, p, e, fp, g.Weights(), hit, start)
-}
-
-// serveVCDist is serveVC for distributed sessions: snapshot
-// bookkeeping through the shared installSnapshot, then memo →
-// coalesce → fleet run.
-func (s *Server) serveVCDist(w http.ResponseWriter, ctx context.Context, p runParams,
-	e *entry[*distSolver], fp string, weights []int64, hit bool, start time.Time) {
-
-	cacheLabel, whash, err := installSnapshot(s, e, weights, hit)
-	if err != nil {
-		if s.distVerdict(ctx, err) {
-			s.serveVCFailover(w, ctx, p, e.solver.graph(), fp, weights, start)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "updating weights: %v", err)
-		return
-	}
-
-	const algo = "vertexcover"
-	mkey := p.memoKey(algo, whash)
-	tr := traceFrom(ctx)
-	tr.label(algo, fp, cacheLabel)
-	tr.setEngine("distributed")
-
-	serve := func(resp vcResponse, label string) {
-		tr.setCache(label)
-		tr.result(resp.Rounds, resp.Messages, resp.Bytes)
-		resp.Cache = label
-		resp.ElapsedMS = msSince(start)
-		writeJSON(w, http.StatusOK, resp)
-	}
-	fkey := strings.Join([]string{"dvc", fp, mkey}, "|")
-	for {
-		if v, ok := e.memo.get(mkey); ok {
-			// No fleet contact: a half-open trial admission must return
-			// its probe slot or the breaker would starve.
-			s.brk.forgive()
-			s.ctrs.MemoHits.Add(1)
-			serve(v.(vcResponse), "memo")
-			return
-		}
-		f, leader := s.flights.join(fkey)
-		if leader {
-			resp, status, errMsg := s.execVCDist(ctx, p, e, fp, weights, cacheLabel)
-			if errMsg == "" {
-				e.memo.put(mkey, resp)
-			}
-			f.resp, f.status, f.errMsg = resp, status, errMsg
-			s.flights.leave(fkey, f)
-			if errMsg != "" {
-				writeError(w, status, "%s", errMsg)
-				return
-			}
-			// A failed-over leader ran locally; label the response so
-			// stats and clients see which path actually served it.
-			label := cacheLabel
-			if resp.Cache == "dist_failover" {
-				label = "dist_failover"
-			}
-			serve(resp, label)
-			return
-		}
-		s.brk.forgive()
-		s.ctrs.Coalesced.Add(1)
-		select {
-		case <-f.done:
-			if f.errMsg == "" {
-				serve(f.resp.(vcResponse), "coalesced")
-				return
-			}
-			if ctx.Err() != nil {
-				s.waitFailure(w, ctx)
-				return
-			}
-			if retryShared(f.status, ctx) {
-				continue
-			}
-			writeError(w, f.status, "%s", f.errMsg)
-			return
-		case <-ctx.Done():
-			s.waitFailure(w, ctx)
-			return
-		}
-	}
-}
-
-// execVCDist runs one fleet run and builds the response; error
-// contract as execVC.  Verification happens coordinator-side against
-// the weight view the run used.
-func (s *Server) execVCDist(ctx context.Context, p runParams, e *entry[*distSolver],
-	fp string, weights []int64, cacheLabel string) (vcResponse, int, string) {
-
-	s.ctrs.Runs.Add(1)
 	tr := traceFrom(ctx)
 	t0 := time.Now()
-	res, gv, err := e.solver.run(ctx, weights, dist.RunOptions{
+	res, err := d.VertexCover(ctx, dist.RunOptions{
 		ScrambleSeed: p.scramble, RoundBudget: p.budget,
 		TraceOff: p.traceOff, TraceEvery: p.traceEvery, Tag: tr.runID(),
 	})
@@ -352,91 +166,67 @@ func (s *Server) execVCDist(ctx context.Context, p runParams, e *entry[*distSolv
 	// GET /v1/runs/{id}/trace works for failed runs too.  The ID check
 	// guards against picking up a stale trace from an earlier request
 	// when this run died before the fleet recorded anything.
-	if rt := e.solver.sess.LastTrace(); rt != nil && rt.ID != "" && rt.ID == tr.runID() {
-		s.traces.put(rt)
+	if rt := d.LastTrace(); rt != nil && rt.ID != "" && rt.ID == tr.runID() {
+		f.s.traces.put(rt)
 		tr.setTrace()
 	}
 	if err != nil {
-		if s.distVerdict(ctx, err) {
-			return s.failoverVC(ctx, p, e.solver.graph(), fp, weights)
-		}
-		return vcResponse{}, s.failStatus(err), fmt.Sprintf("run failed: %v", err)
+		return ran{}, err
 	}
-	s.brk.success()
-	s.tel.observeRun("vertexcover", res.Rounds, res.Stats.Messages, res.Stats.Bytes)
-	resp := vcResponse{
-		Fingerprint: fp, Algorithm: "vertexcover",
-		N: gv.N(), M: gv.M(),
-		Cover: coverIndices(res.Cover), Weight: res.CoverWeight(gv),
-		Rounds: res.Rounds, Messages: res.Stats.Messages, Bytes: res.Stats.Bytes,
-		Cache: cacheLabel,
-	}
-	resp.CoverSize = len(resp.Cover)
-	if p.verify {
-		t0 = time.Now()
-		verr := check.EdgePackingMaximal(gv, res.Y)
-		if verr == nil {
-			verr = check.VCDualityCertificate(gv, res.Y, res.Cover)
-		}
-		tr.mark(phaseVerify, time.Since(t0))
-		if verr != nil {
-			s.ctrs.RunErrors.Add(1)
-			return vcResponse{}, http.StatusInternalServerError, fmt.Sprintf("INVARIANT VIOLATION: %v", verr)
-		}
-		resp.Verified = true
-	}
-	return resp, 0, ""
+	gv := d.Graph() // the weight view the run used
+	return ran{
+		algo: "vertexcover", n: gv.N(), m: gv.M(),
+		cover: res.Cover, weight: res.CoverWeight(gv),
+		rounds: res.Rounds, messages: res.Stats.Messages, bytes: res.Stats.Bytes,
+		verify: func() error {
+			if err := check.EdgePackingMaximal(gv, res.Y); err != nil {
+				return err
+			}
+			return check.VCDualityCertificate(gv, res.Y, res.Cover)
+		},
+	}, nil
 }
 
-// vcFromDistGraph serves a weights-only request whose fingerprint is
-// cached only as a distributed session while the dist path is not
-// usable for it (breaker open, or dist-ineligible options): it
-// compiles a local solver over the session's own graph — counted and
-// cached like any compile — instead of answering 404 for a topology
-// the server demonstrably holds.  Reports whether it handled the
-// request.
-func (s *Server) vcFromDistGraph(w http.ResponseWriter, ctx context.Context, p runParams,
-	r *http.Request, fp string, start time.Time) bool {
+// runLocal runs on the local half.
+func (f *fleetVC) runLocal(ctx context.Context, p runParams, w []int64, obs func(anoncover.RoundInfo)) (ran, error) {
+	sol, err := f.localHalf(ctx)
+	if err != nil {
+		return ran{}, err
+	}
+	return localVC{sol}.run(ctx, p, w, obs)
+}
 
-	de, err := s.dvc.lookup(ctx, fp)
-	if err != nil || de == nil {
-		return false
+// warm compiles the half a plain port-model request would run on: the
+// fleet half while the breaker admits it and the fleet answers, the
+// local half otherwise.
+func (f *fleetVC) warm(ctx context.Context) error {
+	if f.s.brk.allow() {
+		f.fmu.Lock()
+		_, err := f.fleetHalfLocked(ctx)
+		f.fmu.Unlock()
+		f.s.brk.settle(err)
+		if err == nil || !dist.Transient(err) {
+			return err
+		}
 	}
-	gv := de.solver.graph()
-	weights := de.solver.Weights()
-	s.dvc.release(de)
-	body, err := readWeightsBody(r, s.cfg.MaxBody)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return true
-	}
-	if body != nil {
-		weights = body
-	}
-	e, hit, err := s.vc.acquire(ctx, fp, func() (*anoncover.Solver, error) {
-		s.ctrs.Compiles.Add(1)
-		t0 := time.Now()
-		sol, cerr := anoncover.Compile(anoncover.WrapGraph(gv), s.sessionOpts()...)
-		traceFrom(ctx).mark(phaseCompile, time.Since(t0))
-		return sol, cerr
-	})
-	if err != nil {
-		writeError(w, s.compileStatus(err), "compiling solver: %v", err)
-		return true
-	}
-	defer s.vc.release(e)
-	if hit {
-		s.ctrs.CacheHits.Add(1)
-	}
-	s.serveVC(w, ctx, p, e, fp, weights, hit, start)
-	return true
+	_, err := f.localHalf(ctx)
+	return err
+}
+
+// distEligible reports whether a request can execute on the fleet: a
+// plain port-model run with no engine override and no progress stream
+// (the distributed barrier has no per-round observer hook).  Other
+// requests run on a fleet entry's local half with bit-identical
+// results.
+func (p *runParams) distEligible() bool {
+	return p.model == "port" && len(p.engine) == 0 && p.progress == ""
 }
 
 // distStats is the /v1/stats block reporting the worker fleet: health
 // of every worker (the background prober's latest snapshot, or a live
-// probe when none has run), cached distributed sessions, the local
-// failover count, the circuit breaker state, and the coordinator's
-// transport counters.
+// probe when none has run), cached entries with a compiled fleet half,
+// the local failover count, the circuit breaker state, and the
+// coordinator's transport counters.
 type distStats struct {
 	Workers   []dist.WorkerHealth `json:"workers"`
 	Sessions  int                 `json:"sessions"`
@@ -456,8 +246,11 @@ func (s *Server) distStats() *distStats {
 		workers = s.coord.Health(ctx)
 	}
 	return &distStats{
-		Workers:   workers,
-		Sessions:  s.dvc.len(),
+		Workers: workers,
+		Sessions: s.vc.count(func(sess session) bool {
+			f, ok := sess.(*fleetVC)
+			return ok && f.fleet.Load() != nil
+		}),
 		Failovers: s.ctrs.DistFailovers.Load(),
 		Breaker:   s.brk.stateName(),
 		Transport: s.coord.Metrics().SnapshotNow(),

@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"anoncover/internal/dist"
 	"anoncover/internal/obs"
@@ -350,5 +352,172 @@ func TestServeDistFallback(t *testing.T) {
 	st := serverStats(t, ts.Client(), ts.URL)
 	if st.Distributed.Transport.Runs != 0 {
 		t.Fatalf("fallback requests ran on the fleet: %d runs", st.Distributed.Transport.Runs)
+	}
+}
+
+// TestServeFleetSessionOps: in coordinator mode a fleet-backed entry
+// is an ordinary cache entry — listed by GET /v1/solvers, pinnable and
+// expirable — and warming a topology compiles the fleet half the next
+// plain request runs on, so warm + run costs one compile per topology.
+func TestServeFleetSessionOps(t *testing.T) {
+	addrs := startDistWorkers(t, 2)
+	srv := New(Config{WorkerAddrs: addrs, ProbeInterval: -1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := ts.Client()
+
+	bodyA, _ := gridText(t, 4, 5, testWeights(20, 1))
+	code, data := post(t, cl, ts.URL+"/v1/vertexcover?verify=true", bodyA)
+	if code != http.StatusOK {
+		t.Fatalf("fleet run: code %d: %s", code, data)
+	}
+	fpA := decodeVC(t, data).Fingerprint
+
+	resp, err := cl.Get(ts.URL + "/v1/solvers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr solversResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(sr.Solvers) != 1 || sr.Solvers[0].Fingerprint != fpA || sr.Solvers[0].Kind != "vertexcover" {
+		t.Fatalf("GET /v1/solvers = %+v, want the fleet entry %s", sr.Solvers, fpA)
+	}
+	if code, data := post(t, cl, ts.URL+"/v1/solvers/"+fpA+"/pin", ""); code != http.StatusOK {
+		t.Fatalf("pin fleet entry: code %d: %s", code, data)
+	}
+	if st := serverStats(t, cl, ts.URL); st.PinnedSolvers != 1 {
+		t.Fatalf("pinned_solvers = %d, want 1", st.PinnedSolvers)
+	}
+
+	// Two warmed topologies, each then served by a plain request: the
+	// warm compiles the fleet half and the run uses it.
+	for i, rc := range [][2]int{{3, 6}, {5, 3}} {
+		body, _ := gridText(t, rc[0], rc[1], testWeights(rc[0]*rc[1], int64(10+i)))
+		wr := warm(t, cl, ts.URL, body, "")
+		if wr.Cache != "compile" {
+			t.Fatalf("warm %d: %+v", i, wr)
+		}
+		code, data := post(t, cl, ts.URL+"/v1/vertexcover/"+wr.Fingerprint+"?verify=true", "")
+		if code != http.StatusOK {
+			t.Fatalf("run on warmed topology %d: code %d: %s", i, code, data)
+		}
+		if r := decodeVC(t, data); !r.Verified || r.Cache != "hit" {
+			t.Fatalf("run on warmed topology %d: verified=%v cache=%q", i, r.Verified, r.Cache)
+		}
+	}
+	st := serverStats(t, cl, ts.URL)
+	if st.Compiles != 3 || st.Distributed.Transport.Runs != 3 {
+		t.Fatalf("compiles=%d fleet runs=%d, want 3 and 3 (one compile per topology)",
+			st.Compiles, st.Distributed.Transport.Runs)
+	}
+	if st.VertexCoverSolvers != 3 || st.Distributed.Sessions != 3 {
+		t.Fatalf("vertexcover_solvers=%d sessions=%d, want 3 and 3",
+			st.VertexCoverSolvers, st.Distributed.Sessions)
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/solvers/"+fpA, nil)
+	resp, err = cl.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("expire fleet entry: status %d", resp.StatusCode)
+	}
+	if st := serverStats(t, cl, ts.URL); st.Distributed.Sessions != 2 || st.PinnedSolvers != 0 {
+		t.Fatalf("after expiry: sessions=%d pinned=%d, want 2 and 0",
+			st.Distributed.Sessions, st.PinnedSolvers)
+	}
+}
+
+// TestServeBreakerHalfOpenBadBody: a request that fails before any
+// fleet contact — here a malformed weights body — must not take the
+// half-open breaker's trial slot, or the breaker would stay half-open
+// and the healthy fleet would never run again.
+func TestServeBreakerHalfOpenBadBody(t *testing.T) {
+	addrs := startDistWorkers(t, 2)
+	srv := New(Config{WorkerAddrs: addrs, ProbeInterval: -1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := ts.Client()
+
+	body, _ := gridText(t, 4, 4, testWeights(16, 2))
+	code, data := post(t, cl, ts.URL+"/v1/vertexcover", body)
+	if code != http.StatusOK {
+		t.Fatalf("fleet run: code %d: %s", code, data)
+	}
+	fp := decodeVC(t, data).Fingerprint
+
+	// An open breaker past its cooldown: the next fleet-eligible
+	// request is the half-open trial.
+	srv.brk.mu.Lock()
+	srv.brk.state = brkOpen
+	srv.brk.openedAt = time.Now().Add(-time.Hour)
+	srv.brk.mu.Unlock()
+
+	if code, data := post(t, cl, ts.URL+"/v1/vertexcover/"+fp, `{"weights":`); code != http.StatusBadRequest {
+		t.Fatalf("malformed body: code %d: %s", code, data)
+	}
+	code, data = post(t, cl, ts.URL+"/v1/vertexcover/"+fp+"?verify=true", weightsJSON(testWeights(16, 3)))
+	if code != http.StatusOK {
+		t.Fatalf("valid request: code %d: %s", code, data)
+	}
+	if r := decodeVC(t, data); !r.Verified || r.Cache == "dist_failover" {
+		t.Fatalf("valid request: verified=%v cache=%q", r.Verified, r.Cache)
+	}
+	st := serverStats(t, cl, ts.URL)
+	if st.Distributed.Transport.Runs != 2 || st.Distributed.Breaker != "closed" {
+		t.Fatalf("fleet runs=%d breaker=%q, want 2 and closed (the trial ran on the fleet)",
+			st.Distributed.Transport.Runs, st.Distributed.Breaker)
+	}
+}
+
+// TestServeFleetConcurrentHalves drives one fleet-backed entry from
+// many goroutines at once, plain requests on the fleet half and engine
+// overrides on the local half: every answer is verified, and each half
+// compiles exactly once however the requests race.
+func TestServeFleetConcurrentHalves(t *testing.T) {
+	addrs := startDistWorkers(t, 2)
+	srv := New(Config{WorkerAddrs: addrs, ProbeInterval: -1, QueueDepth: 32})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := ts.Client()
+
+	body, _ := gridText(t, 4, 5, testWeights(20, 5))
+	fp := warm(t, cl, ts.URL, body, "").Fingerprint
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		q := "?verify=true"
+		if i%2 == 1 {
+			q += "&engine=sequential"
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := cl.Post(ts.URL+"/v1/vertexcover/"+fp+q, "application/json",
+				strings.NewReader(weightsJSON(testWeights(20, int64(100+i)))))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var r vcResponse
+			if err := json.NewDecoder(resp.Body).Decode(&r); err != nil || resp.StatusCode != http.StatusOK || !r.Verified {
+				t.Errorf("request %d: status %d verified=%v err=%v", i, resp.StatusCode, r.Verified, err)
+			}
+		}()
+	}
+	wg.Wait()
+	st := serverStats(t, cl, ts.URL)
+	if st.Compiles != 2 || st.Distributed.Transport.Runs != 4 || st.Distributed.Failovers != 0 {
+		t.Fatalf("compiles=%d fleet runs=%d failovers=%d, want 2, 4 and 0",
+			st.Compiles, st.Distributed.Transport.Runs, st.Distributed.Failovers)
 	}
 }

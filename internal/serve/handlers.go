@@ -159,21 +159,14 @@ func (p *runParams) options(w []int64, obs func(anoncover.RoundInfo)) []anoncove
 	return opts
 }
 
-// weightedSolver is the solver surface the snapshot-install prologue
-// needs; anoncover.Solver and anoncover.SetCoverSolver both satisfy it.
-type weightedSolver interface {
-	closer
-	UpdateWeights([]int64) error
-}
-
 // installSnapshot is the shared weight-snapshot bookkeeping of every
 // run request: under the entry's weight lock, install the request's
-// vector as the solver's snapshot when it differs from the current one
+// vector as the session's snapshot when it differs from the current one
 // (counting it as a weight update on cache hits), and short-circuit
 // the no-op install on a fresh compile, whose snapshot already carries
 // exactly the uploaded weights.  Returns the cache label for the
 // response and the weight hash for the memo key.
-func installSnapshot[S weightedSolver](s *Server, e *entry[S], weights []int64, hit bool) (label, whash string, err error) {
+func installSnapshot(s *Server, e *entry, weights []int64, hit bool) (label, whash string, err error) {
 	label = "compile"
 	if hit {
 		label = "hit"
@@ -225,6 +218,15 @@ func (p *runParams) memoKey(algo, whash string) string {
 		strconv.FormatBool(p.earlyExit),
 		strconv.FormatInt(p.scramble, 10),
 	}, "|")
+}
+
+// algo names the algorithm a request of kind runs: the memo key's and
+// the telemetry's algo label.
+func (p *runParams) algo(kind string) string {
+	if kind == "vertexcover" && p.model == "broadcast" {
+		return "vertexcover-broadcast"
+	}
+	return kind
 }
 
 // batchable reports whether the request qualifies for the batch
@@ -354,7 +356,7 @@ func readWeightsBody(r *http.Request, maxBody int64) ([]int64, error) {
 	return wb.Weights, nil
 }
 
-// --- vertex cover ---
+// --- run endpoints ---
 
 // vcResponse is the JSON result of a vertex-cover request.  Cache and
 // ElapsedMS are per-request; everything else is memoizable.
@@ -377,159 +379,217 @@ type vcResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// handleVertexCover serves a full-instance request: parse, fingerprint,
-// compile or hit the cache, snapshot the weights, run.  Small plain
-// requests for uncached topologies may take the batch window instead
-// (see batch.go), which runs them pooled without compiling a
-// per-topology solver.
-func (s *Server) handleVertexCover(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !s.admit(w, r) {
-		return
+// scResponse is the JSON result of a set-cover request.
+type scResponse struct {
+	Fingerprint     string  `json:"fingerprint"`
+	Algorithm       string  `json:"algorithm"`
+	Subsets         int     `json:"subsets"`
+	Elements        int     `json:"elements"`
+	Cover           []int   `json:"cover"`
+	CoverSize       int     `json:"cover_size"`
+	Weight          int64   `json:"weight"`
+	Rounds          int     `json:"rounds"`
+	ScheduledRounds int     `json:"scheduled_rounds"`
+	Messages        int64   `json:"messages"`
+	Bytes           int64   `json:"bytes"`
+	Verified        bool    `json:"verified,omitempty"`
+	Cache           string  `json:"cache"`
+	ElapsedMS       float64 `json:"elapsed_ms"`
+}
+
+// response is a run endpoint's JSON result, vcResponse or scResponse.
+// Responses are values: the memo and a coalesced flight share one, and
+// every request stamps its own copy.
+type response interface {
+	counts() (rounds int, messages, bytes int64)
+	// stamp returns a copy carrying one request's cache label and
+	// elapsed time.
+	stamp(cache string, elapsedMS float64) response
+}
+
+func (r vcResponse) counts() (int, int64, int64) { return r.Rounds, r.Messages, r.Bytes }
+func (r scResponse) counts() (int, int64, int64) { return r.Rounds, r.Messages, r.Bytes }
+
+func (r vcResponse) stamp(cache string, ms float64) response {
+	r.Cache, r.ElapsedMS = cache, ms
+	return r
+}
+
+func (r scResponse) stamp(cache string, ms float64) response {
+	r.Cache, r.ElapsedMS = cache, ms
+	return r
+}
+
+// respond builds the kind's response for a finished run.
+func (out *ran) respond(fp, cache string, verified bool) response {
+	cover := coverIndices(out.cover)
+	if out.algo == "setcover" {
+		return scResponse{
+			Fingerprint: fp, Algorithm: out.algo, Subsets: out.n, Elements: out.m,
+			Cover: cover, CoverSize: len(cover), Weight: out.weight,
+			Rounds: out.rounds, ScheduledRounds: out.sched,
+			Messages: out.messages, Bytes: out.bytes, Verified: verified, Cache: cache,
+		}
 	}
-	defer s.adm.release()
-	p, err := s.parseRunParams(r)
+	return vcResponse{
+		Fingerprint: fp, Algorithm: out.algo, N: out.n, M: out.m,
+		Cover: cover, CoverSize: len(cover), Weight: out.weight,
+		Rounds: out.rounds, Messages: out.messages, Bytes: out.bytes,
+		Verified: verified, Cache: cache,
+	}
+}
+
+// upload is a parsed full-instance body.
+type upload struct {
+	fp      string
+	weights []int64
+	// compile builds the instance's session on a cache miss, timing
+	// it on the request trace.
+	compile func() (session, error)
+	// batch is set for vertex-cover instances small enough for the
+	// batch window.
+	batch *anoncover.Graph
+}
+
+// parser reads a full-instance body of one kind; ctx carries the
+// request trace its compile marks.
+type parser func(ctx context.Context, body io.Reader) (upload, error)
+
+// parseVC reads a vertex-cover body.  In coordinator mode the session
+// is a fleet-backed entry whose halves compile on first need.
+func (s *Server) parseVC(ctx context.Context, body io.Reader) (upload, error) {
+	g, err := graph.Parse(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return upload{}, fmt.Errorf("parsing graph: %w", err)
 	}
-	if s.distEligible(p) {
-		// Coordinator mode: eligible requests execute across the worker
-		// fleet; the body parses into the internal graph form the shard
-		// planner consumes.
-		ig, err := graph.Parse(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	u := upload{fp: g.Fingerprint(), weights: g.Weights()}
+	if s.coord != nil {
+		u.compile = func() (session, error) { return newFleetVC(s, g), nil }
+		return u, nil
+	}
+	ag := anoncover.WrapGraph(g)
+	u.compile = func() (session, error) {
+		sol, err := compileTimed(ctx, s, func() (*anoncover.Solver, error) {
+			return anoncover.Compile(ag, s.sessionOpts()...)
+		})
+		return localVC{sol}, err
+	}
+	if s.batch != nil && g.N() <= s.cfg.BatchMaxNodes {
+		u.batch = ag
+	}
+	return u, nil
+}
+
+// parseSC reads a set-cover body.
+func (s *Server) parseSC(ctx context.Context, body io.Reader) (upload, error) {
+	ins, err := anoncover.ReadSetCover(body)
+	if err != nil {
+		return upload{}, fmt.Errorf("parsing instance: %w", err)
+	}
+	return upload{fp: ins.Fingerprint(), weights: ins.Weights(),
+		compile: func() (session, error) {
+			sol, err := compileTimed(ctx, s, func() (*anoncover.SetCoverSolver, error) {
+				return anoncover.CompileSetCover(ins, s.sessionOpts()...)
+			})
+			return setCoverSession{sol}, err
+		}}, nil
+}
+
+// handleRun serves a full-instance request: parse, fingerprint,
+// compile or hit the cache, snapshot the weights, run.  Small plain
+// vertex-cover requests for uncached topologies may take the batch
+// window instead (see batch.go), which runs them pooled without
+// compiling a per-topology solver.
+func (s *Server) handleRun(c *cache, parse parser) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		if !s.admit(w, r) {
+			return
+		}
+		defer s.adm.release()
+		p, err := s.parseRunParams(r)
 		if err != nil {
-			s.brk.forgive()
-			writeError(w, http.StatusBadRequest, "parsing graph: %v", err)
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		u, err := parse(r.Context(), http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		ctx, cancel := p.runContext(r)
 		defer cancel()
-		s.handleVCDist(w, ctx, p, ig, ig.Fingerprint(), start)
-		return
+		var e *entry
+		hit := true
+		if u.batch != nil && p.batchable() {
+			// Batch only topologies that are not already compiled: a
+			// cached solver (and its memo) serves a solo run cheaper
+			// than packing the instance into a union, and the warm/pin
+			// endpoints are the way to promote a hot tenant onto that
+			// path.
+			if e, err = c.lookup(ctx, u.fp); err == nil && e == nil {
+				s.serveVCBatched(w, ctx, p, u.batch, u.fp, start)
+				return
+			}
+		} else {
+			e, hit, err = c.acquire(ctx, u.fp, u.compile)
+		}
+		if err != nil {
+			writeError(w, s.compileStatus(err), "compiling solver: %v", err)
+			return
+		}
+		defer c.release(e)
+		s.serve(w, ctx, p, c.kind, e, u.weights, hit, start)
 	}
-	g, err := anoncover.ReadGraph(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parsing graph: %v", err)
-		return
-	}
-	ctx, cancel := p.runContext(r)
-	defer cancel()
-	fp := g.Fingerprint()
-	if s.batch != nil && p.batchable() && g.N() <= s.cfg.BatchMaxNodes {
-		// Batch only topologies that are not already compiled: a cached
-		// solver (and its memo) serves a solo run cheaper than packing
-		// the instance into a union, and the warm/pin endpoints are the
-		// way to promote a hot tenant onto that path.
-		e, err := s.vc.lookup(ctx, fp)
+}
+
+// handleWeights serves a weights-only request against an already
+// cached topology: the snapshot weight-update path, with no instance
+// upload and no recompile.
+func (s *Server) handleWeights(c *cache) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		if !s.admit(w, r) {
+			return
+		}
+		defer s.adm.release()
+		p, err := s.parseRunParams(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		ctx, cancel := p.runContext(r)
+		defer cancel()
+		fp := r.PathValue("fp")
+		e, err := c.lookup(ctx, fp)
 		if err != nil {
 			writeError(w, s.compileStatus(err), "cached solver: %v", err)
 			return
 		}
 		if e == nil {
-			s.serveVCBatched(w, ctx, p, g, fp, start)
+			writeError(w, http.StatusNotFound, "no cached solver for fingerprint %s; POST the full instance to /v1/%s", fp, c.kind)
 			return
 		}
-		defer s.vc.release(e)
-		s.ctrs.CacheHits.Add(1)
-		s.serveVC(w, ctx, p, e, fp, g.Weights(), true, start)
-		return
-	}
-	e, hit, err := s.vc.acquire(ctx, fp, func() (*anoncover.Solver, error) {
-		s.ctrs.Compiles.Add(1)
-		t0 := time.Now()
-		sol, cerr := anoncover.Compile(g, s.sessionOpts()...)
-		traceFrom(ctx).mark(phaseCompile, time.Since(t0))
-		return sol, cerr
-	})
-	if err != nil {
-		writeError(w, s.compileStatus(err), "compiling solver: %v", err)
-		return
-	}
-	defer s.vc.release(e)
-	if hit {
-		s.ctrs.CacheHits.Add(1)
-	}
-	s.serveVC(w, ctx, p, e, fp, g.Weights(), hit, start)
-}
-
-// handleVertexCoverCached serves a weights-only request against an
-// already cached topology: the snapshot weight-update path, with no
-// instance upload and no recompile.
-func (s *Server) handleVertexCoverCached(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.adm.release()
-	p, err := s.parseRunParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := p.runContext(r)
-	defer cancel()
-	fp := r.PathValue("fp")
-	if s.distEligible(p) {
-		de, err := s.dvc.lookup(ctx, fp)
+		defer c.release(e)
+		weights, err := readWeightsBody(r, s.cfg.MaxBody)
 		if err != nil {
-			writeError(w, s.compileStatus(err), "cached distributed session: %v", err)
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if de != nil {
-			defer s.dvc.release(de)
-			s.ctrs.CacheHits.Add(1)
-			weights, err := readWeightsBody(r, s.cfg.MaxBody)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			if weights == nil {
-				weights = de.solver.Weights()
-			}
-			s.serveVCDist(w, ctx, p, de, fp, weights, true, start)
-			return
+		if weights == nil {
+			weights = e.solver.Weights()
 		}
-		// Fall through: the fingerprint may be cached as a local solver
-		// (compiled by a non-eligible request).  The breaker admission
-		// ends here without fleet contact.
-		s.brk.forgive()
+		s.serve(w, ctx, p, c.kind, e, weights, true, start)
 	}
-	e, err := s.vc.lookup(ctx, fp)
-	if err != nil {
-		writeError(w, s.compileStatus(err), "cached solver: %v", err)
-		return
-	}
-	if e == nil {
-		// The topology may still be cached as a distributed session the
-		// request cannot use (breaker open, dist-ineligible options);
-		// serve it locally off the session's graph rather than 404.
-		if s.coord != nil && s.vcFromDistGraph(w, ctx, p, r, fp, start) {
-			return
-		}
-		writeError(w, http.StatusNotFound, "no cached solver for fingerprint %s; POST the full instance to /v1/vertexcover", fp)
-		return
-	}
-	defer s.vc.release(e)
-	s.ctrs.CacheHits.Add(1)
-	weights, err := readWeightsBody(r, s.cfg.MaxBody)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if weights == nil {
-		weights = e.solver.Weights()
-	}
-	s.serveVC(w, ctx, p, e, fp, weights, true, start)
 }
 
-// serveVC is the shared run path: weight snapshot bookkeeping, then
-// memo → coalesce → run.  Progress requests bypass the memo and the
+// serve is the one run path: weight snapshot bookkeeping, then memo →
+// coalesce → run.  Progress requests bypass the memo and the
 // single-flight layer — they want the round stream, not a shared
 // answer — and open their stream eagerly so the client sees bytes
 // before the first (possibly slow) round completes.
-func (s *Server) serveVC(w http.ResponseWriter, ctx context.Context, p runParams,
-	e *entry[*anoncover.Solver], fp string, weights []int64, hit bool, start time.Time) {
+func (s *Server) serve(w http.ResponseWriter, ctx context.Context, p runParams,
+	kind string, e *entry, weights []int64, hit bool, start time.Time) {
 
 	cacheLabel, whash, err := installSnapshot(s, e, weights, hit)
 	if err != nil {
@@ -537,45 +597,39 @@ func (s *Server) serveVC(w http.ResponseWriter, ctx context.Context, p runParams
 		return
 	}
 
-	algo := "vertexcover"
-	if p.model == "broadcast" {
-		algo = "vertexcover-broadcast"
-	}
+	algo := p.algo(kind)
 	mkey := p.memoKey(algo, whash)
 	tr := traceFrom(ctx)
-	tr.label(algo, fp, cacheLabel)
+	tr.label(algo, e.key, cacheLabel)
 	tr.setEngine(p.engineName)
 
 	if p.progress != "" {
 		stream, obs := newStream(w, p)
 		stream.start(algo, tr.runID())
-		resp, status, errMsg := s.execVC(ctx, p, e, fp, weights, algo, cacheLabel, obs)
+		resp, label, status, errMsg := s.exec(ctx, p, e, weights, cacheLabel, obs)
 		if errMsg != "" {
 			stream.fail(status, "%s", errMsg)
 			return
 		}
-		resp.ElapsedMS = msSince(start)
-		stream.finish(resp)
+		stream.finish(resp.stamp(label, msSince(start)))
 		return
 	}
 
-	serve := func(resp vcResponse, label string) {
+	serve := func(resp response, label string) {
 		tr.setCache(label)
-		tr.result(resp.Rounds, resp.Messages, resp.Bytes)
-		resp.Cache = label
-		resp.ElapsedMS = msSince(start)
-		writeJSON(w, http.StatusOK, resp)
+		tr.result(resp.counts())
+		writeJSON(w, http.StatusOK, resp.stamp(label, msSince(start)))
 	}
-	fkey := strings.Join([]string{"vc", fp, mkey}, "|")
+	fkey := e.key + "|" + mkey
 	for {
 		if v, ok := e.memo.get(mkey); ok {
 			s.ctrs.MemoHits.Add(1)
-			serve(v.(vcResponse), "memo")
+			serve(v, "memo")
 			return
 		}
 		f, leader := s.flights.join(fkey)
 		if leader {
-			resp, status, errMsg := s.execVC(ctx, p, e, fp, weights, algo, cacheLabel, nil)
+			resp, label, status, errMsg := s.exec(ctx, p, e, weights, cacheLabel, nil)
 			if errMsg == "" {
 				e.memo.put(mkey, resp)
 			}
@@ -585,14 +639,14 @@ func (s *Server) serveVC(w http.ResponseWriter, ctx context.Context, p runParams
 				writeError(w, status, "%s", errMsg)
 				return
 			}
-			serve(resp, cacheLabel)
+			serve(resp, label)
 			return
 		}
 		s.ctrs.Coalesced.Add(1)
 		select {
 		case <-f.done:
 			if f.errMsg == "" {
-				serve(f.resp.(vcResponse), "coalesced")
+				serve(f.resp, "coalesced")
 				return
 			}
 			if ctx.Err() != nil {
@@ -630,261 +684,77 @@ func retryShared(status int, ctx context.Context) bool {
 		ctx.Err() == nil
 }
 
-// execVC runs the vertex-cover algorithm once and builds the response.
-// On failure it returns the classified status and message (counters
-// already applied); on success errMsg is empty and status is 0.
-func (s *Server) execVC(ctx context.Context, p runParams, e *entry[*anoncover.Solver],
-	fp string, weights []int64, algo, cacheLabel string,
-	obs func(anoncover.RoundInfo)) (vcResponse, int, string) {
+// exec runs the session once, verifies the run when asked, and builds
+// the response under its cache label: cacheLabel, or dist_failover
+// when a fleet fault moved the run to a local solver.  On failure it
+// returns the classified status and message (counters already
+// applied); on success errMsg is empty and status is 0.
+func (s *Server) exec(ctx context.Context, p runParams, e *entry, weights []int64,
+	cacheLabel string, obs func(anoncover.RoundInfo)) (response, string, int, string) {
 
 	s.ctrs.Runs.Add(1)
-	tr := traceFrom(ctx)
-	var res *anoncover.VertexCoverResult
-	var err error
-	t0 := time.Now()
-	if p.model == "broadcast" {
-		res, err = e.solver.VertexCoverBroadcast(ctx, p.options(weights, obs)...)
-	} else {
-		res, err = e.solver.VertexCover(ctx, p.options(weights, obs)...)
-	}
-	tr.mark(phaseRun, time.Since(t0))
+	out, err := e.solver.run(ctx, p, weights, obs)
 	if err != nil {
-		return vcResponse{}, s.failStatus(err), fmt.Sprintf("run failed: %v", err)
+		return nil, "", s.failStatus(err), fmt.Sprintf("run failed: %v", err)
 	}
-	s.tel.observeRun(algo, res.Rounds, res.Messages, res.Bytes)
-	resp := vcResponse{
-		Fingerprint: fp, Algorithm: algo,
-		N: len(res.Cover), M: len(res.Packing),
-		Cover: coverIndices(res.Cover), Weight: res.Weight,
-		Rounds: res.Rounds, Messages: res.Messages, Bytes: res.Bytes,
-		Cache: cacheLabel,
+	s.tel.observeRun(out.algo, out.rounds, out.messages, out.bytes)
+	if out.failover {
+		cacheLabel = "dist_failover"
 	}
-	resp.CoverSize = len(resp.Cover)
 	if p.verify {
-		t0 = time.Now()
-		verr := res.Verify()
-		tr.mark(phaseVerify, time.Since(t0))
+		t0 := time.Now()
+		verr := out.verify()
+		traceFrom(ctx).mark(phaseVerify, time.Since(t0))
 		if verr != nil {
 			s.ctrs.RunErrors.Add(1)
-			return vcResponse{}, http.StatusInternalServerError, fmt.Sprintf("INVARIANT VIOLATION: %v", verr)
+			return nil, "", http.StatusInternalServerError, fmt.Sprintf("INVARIANT VIOLATION: %v", verr)
 		}
-		resp.Verified = true
 	}
-	return resp, 0, ""
+	return out.respond(e.key, cacheLabel, p.verify), cacheLabel, 0, ""
 }
 
-// --- set cover ---
-
-// scResponse is the JSON result of a set-cover request.
-type scResponse struct {
-	Fingerprint     string  `json:"fingerprint"`
-	Algorithm       string  `json:"algorithm"`
-	Subsets         int     `json:"subsets"`
-	Elements        int     `json:"elements"`
-	Cover           []int   `json:"cover"`
-	CoverSize       int     `json:"cover_size"`
-	Weight          int64   `json:"weight"`
-	Rounds          int     `json:"rounds"`
-	ScheduledRounds int     `json:"scheduled_rounds"`
-	Messages        int64   `json:"messages"`
-	Bytes           int64   `json:"bytes"`
-	Verified        bool    `json:"verified,omitempty"`
-	Cache           string  `json:"cache"`
-	ElapsedMS       float64 `json:"elapsed_ms"`
-}
-
-func (s *Server) handleSetCover(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.adm.release()
-	p, err := s.parseRunParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ins, err := anoncover.ReadSetCover(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parsing instance: %v", err)
-		return
-	}
-	ctx, cancel := p.runContext(r)
-	defer cancel()
-	fp := ins.Fingerprint()
-	e, hit, err := s.sc.acquire(ctx, fp, func() (*anoncover.SetCoverSolver, error) {
-		s.ctrs.Compiles.Add(1)
-		t0 := time.Now()
-		sol, cerr := anoncover.CompileSetCover(ins, s.sessionOpts()...)
-		traceFrom(ctx).mark(phaseCompile, time.Since(t0))
-		return sol, cerr
-	})
-	if err != nil {
-		writeError(w, s.compileStatus(err), "compiling solver: %v", err)
-		return
-	}
-	defer s.sc.release(e)
-	if hit {
-		s.ctrs.CacheHits.Add(1)
-	}
-	s.serveSC(w, ctx, p, e, fp, ins.Weights(), hit, start)
-}
-
-func (s *Server) handleSetCoverCached(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.adm.release()
-	p, err := s.parseRunParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := p.runContext(r)
-	defer cancel()
-	fp := r.PathValue("fp")
-	e, err := s.sc.lookup(ctx, fp)
-	if err != nil {
-		writeError(w, s.compileStatus(err), "cached solver: %v", err)
-		return
-	}
-	if e == nil {
-		writeError(w, http.StatusNotFound, "no cached solver for fingerprint %s; POST the full instance to /v1/setcover", fp)
-		return
-	}
-	defer s.sc.release(e)
-	s.ctrs.CacheHits.Add(1)
-	weights, err := readWeightsBody(r, s.cfg.MaxBody)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if weights == nil {
-		weights = e.solver.Weights()
-	}
-	s.serveSC(w, ctx, p, e, fp, weights, true, start)
-}
-
-// serveSC mirrors serveVC for set cover: snapshot bookkeeping, then
-// memo → coalesce → run, with progress requests streaming eagerly and
-// bypassing both sharing layers.
-func (s *Server) serveSC(w http.ResponseWriter, ctx context.Context, p runParams,
-	e *entry[*anoncover.SetCoverSolver], fp string, weights []int64, hit bool, start time.Time) {
-
-	cacheLabel, whash, err := installSnapshot(s, e, weights, hit)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "updating weights: %v", err)
-		return
-	}
-
-	mkey := p.memoKey("setcover", whash)
-	tr := traceFrom(ctx)
-	tr.label("setcover", fp, cacheLabel)
-	tr.setEngine(p.engineName)
-
-	if p.progress != "" {
-		stream, obs := newStream(w, p)
-		stream.start("setcover", tr.runID())
-		resp, status, errMsg := s.execSC(ctx, p, e, fp, weights, cacheLabel, obs)
-		if errMsg != "" {
-			stream.fail(status, "%s", errMsg)
+// handleWarm compiles (or touches) a session without running anything:
+// upload the instance, get the fingerprint back, optionally pin it in
+// the same call (?pin=true).  This is the promotion path for tenants
+// hot enough to outgrow the batch window.  A fleet-backed entry warms
+// the half a plain request would run on.
+func (s *Server) handleWarm(c *cache, parse parser) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.admit(w, r) {
 			return
 		}
-		resp.ElapsedMS = msSince(start)
-		stream.finish(resp)
-		return
-	}
-
-	serve := func(resp scResponse, label string) {
-		tr.setCache(label)
-		tr.result(resp.Rounds, resp.Messages, resp.Bytes)
-		resp.Cache = label
-		resp.ElapsedMS = msSince(start)
+		defer s.adm.release()
+		ctx := r.Context()
+		u, err := parse(ctx, http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		e, hit, err := c.acquire(ctx, u.fp, u.compile)
+		if err == nil {
+			defer c.release(e)
+			if f, ok := e.solver.(*fleetVC); ok {
+				err = f.warm(ctx)
+			}
+		}
+		if err != nil {
+			writeError(w, s.compileStatus(err), "compiling solver: %v", err)
+			return
+		}
+		if _, _, err := installSnapshot(s, e, u.weights, hit); err != nil {
+			writeError(w, http.StatusBadRequest, "updating weights: %v", err)
+			return
+		}
+		resp := warmResponse{Fingerprint: u.fp, Kind: c.kind, Cache: "compile"}
+		if hit {
+			resp.Cache = "hit"
+		}
+		if pin := r.URL.Query().Get("pin"); pin == "true" || pin == "1" {
+			c.setPinned(u.fp, true)
+			resp.Pinned = true
+		}
 		writeJSON(w, http.StatusOK, resp)
 	}
-	fkey := strings.Join([]string{"sc", fp, mkey}, "|")
-	for {
-		if v, ok := e.memo.get(mkey); ok {
-			s.ctrs.MemoHits.Add(1)
-			serve(v.(scResponse), "memo")
-			return
-		}
-		f, leader := s.flights.join(fkey)
-		if leader {
-			resp, status, errMsg := s.execSC(ctx, p, e, fp, weights, cacheLabel, nil)
-			if errMsg == "" {
-				e.memo.put(mkey, resp)
-			}
-			f.resp, f.status, f.errMsg = resp, status, errMsg
-			s.flights.leave(fkey, f)
-			if errMsg != "" {
-				writeError(w, status, "%s", errMsg)
-				return
-			}
-			serve(resp, cacheLabel)
-			return
-		}
-		s.ctrs.Coalesced.Add(1)
-		select {
-		case <-f.done:
-			if f.errMsg == "" {
-				serve(f.resp.(scResponse), "coalesced")
-				return
-			}
-			if ctx.Err() != nil {
-				// As in serveVC: an abandoned joiner is classified by
-				// its own dead context, not the leader's failure.
-				s.waitFailure(w, ctx)
-				return
-			}
-			if retryShared(f.status, ctx) {
-				continue
-			}
-			writeError(w, f.status, "%s", f.errMsg)
-			return
-		case <-ctx.Done():
-			s.waitFailure(w, ctx)
-			return
-		}
-	}
-}
-
-// execSC runs the set-cover algorithm once and builds the response;
-// error contract as execVC.
-func (s *Server) execSC(ctx context.Context, p runParams, e *entry[*anoncover.SetCoverSolver],
-	fp string, weights []int64, cacheLabel string,
-	obs func(anoncover.RoundInfo)) (scResponse, int, string) {
-
-	s.ctrs.Runs.Add(1)
-	tr := traceFrom(ctx)
-	t0 := time.Now()
-	res, err := e.solver.SetCover(ctx, p.options(weights, obs)...)
-	tr.mark(phaseRun, time.Since(t0))
-	if err != nil {
-		return scResponse{}, s.failStatus(err), fmt.Sprintf("run failed: %v", err)
-	}
-	s.tel.observeRun("setcover", res.Rounds, res.Messages, res.Bytes)
-	resp := scResponse{
-		Fingerprint: fp, Algorithm: "setcover",
-		Subsets: len(res.Cover), Elements: len(res.Packing),
-		Cover: coverIndices(res.Cover), Weight: res.Weight,
-		Rounds: res.Rounds, ScheduledRounds: res.ScheduledRounds,
-		Messages: res.Messages, Bytes: res.Bytes,
-		Cache: cacheLabel,
-	}
-	resp.CoverSize = len(resp.Cover)
-	if p.verify {
-		t0 = time.Now()
-		verr := res.Verify()
-		tr.mark(phaseVerify, time.Since(t0))
-		if verr != nil {
-			s.ctrs.RunErrors.Add(1)
-			return scResponse{}, http.StatusInternalServerError, fmt.Sprintf("INVARIANT VIOLATION: %v", verr)
-		}
-		resp.Verified = true
-	}
-	return resp, 0, ""
 }
 
 // sessionOpts are the compile-time session defaults.

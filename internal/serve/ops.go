@@ -1,16 +1,12 @@
 package serve
 
-import (
-	"net/http"
-
-	"anoncover"
-)
+import "net/http"
 
 // Cache operations API: fleet operators observe and steer the solver
 // cache directly — list what is compiled, expire stale topologies,
-// warm a topology ahead of traffic, and pin hot tenants against LRU
-// eviction.  Warm + pin is how a batched tenant graduates to the
-// cached solo path (see batch.go).
+// warm a topology ahead of traffic (handleWarm), and pin hot tenants
+// against LRU eviction.  Warm + pin is how a batched tenant graduates
+// to the cached solo path (see batch.go).
 
 // solversResponse is the JSON shape of GET /v1/solvers.
 type solversResponse struct {
@@ -20,12 +16,7 @@ type solversResponse struct {
 // handleSolversList reports every cached solver of both kinds, most
 // recently used first within each kind.
 func (s *Server) handleSolversList(w http.ResponseWriter, r *http.Request) {
-	out := s.vc.list("vertexcover")
-	out = append(out, s.sc.list("setcover")...)
-	if out == nil {
-		out = []solverInfo{}
-	}
-	writeJSON(w, http.StatusOK, solversResponse{Solvers: out})
+	writeJSON(w, http.StatusOK, solversResponse{Solvers: append(s.vc.list(), s.sc.list()...)})
 }
 
 // handleSolverDelete expires a cached solver by fingerprint.  The
@@ -64,83 +55,4 @@ type warmResponse struct {
 	Kind        string `json:"kind"`
 	Cache       string `json:"cache"` // "compile" or "hit"
 	Pinned      bool   `json:"pinned"`
-}
-
-// handleWarmVertexCover compiles (or touches) a vertex-cover solver
-// without running anything: upload the instance, get the fingerprint
-// back, optionally pin it in the same call (?pin=true).  This is the
-// promotion path for tenants hot enough to outgrow the batch window.
-func (s *Server) handleWarmVertexCover(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.adm.release()
-	g, err := anoncover.ReadGraph(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parsing graph: %v", err)
-		return
-	}
-	fp := g.Fingerprint()
-	e, hit, err := s.vc.acquire(r.Context(), fp, func() (*anoncover.Solver, error) {
-		s.ctrs.Compiles.Add(1)
-		return anoncover.Compile(g, s.sessionOpts()...)
-	})
-	if err != nil {
-		writeError(w, s.compileStatus(err), "compiling solver: %v", err)
-		return
-	}
-	defer s.vc.release(e)
-	if hit {
-		s.ctrs.CacheHits.Add(1)
-	}
-	if _, _, err := installSnapshot(s, e, g.Weights(), hit); err != nil {
-		writeError(w, http.StatusBadRequest, "updating weights: %v", err)
-		return
-	}
-	finishWarm(w, r, s.vc, fp, "vertexcover", hit)
-}
-
-// handleWarmSetCover is the set-cover twin of handleWarmVertexCover.
-func (s *Server) handleWarmSetCover(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.adm.release()
-	ins, err := anoncover.ReadSetCover(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parsing instance: %v", err)
-		return
-	}
-	fp := ins.Fingerprint()
-	e, hit, err := s.sc.acquire(r.Context(), fp, func() (*anoncover.SetCoverSolver, error) {
-		s.ctrs.Compiles.Add(1)
-		return anoncover.CompileSetCover(ins, s.sessionOpts()...)
-	})
-	if err != nil {
-		writeError(w, s.compileStatus(err), "compiling solver: %v", err)
-		return
-	}
-	defer s.sc.release(e)
-	if hit {
-		s.ctrs.CacheHits.Add(1)
-	}
-	if _, _, err := installSnapshot(s, e, ins.Weights(), hit); err != nil {
-		writeError(w, http.StatusBadRequest, "updating weights: %v", err)
-		return
-	}
-	finishWarm(w, r, s.sc, fp, "setcover", hit)
-}
-
-func finishWarm[S closer](w http.ResponseWriter, r *http.Request,
-	c *cache[S], fp, kind string, hit bool) {
-
-	resp := warmResponse{Fingerprint: fp, Kind: kind, Cache: "compile"}
-	if hit {
-		resp.Cache = "hit"
-	}
-	if pin := r.URL.Query().Get("pin"); pin == "true" || pin == "1" {
-		c.setPinned(fp, true)
-		resp.Pinned = true
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -3,15 +3,18 @@
 // API was built for.
 //
 // The service accepts vertex-cover graphs and set-cover instances in
-// the repo's text formats, compiles them into solver sessions, and
-// serves algorithm runs against them.  Three layers make it a service
-// rather than an RPC wrapper:
+// the repo's text formats, compiles them into sessions, and serves
+// algorithm runs against them.  Every run request takes one path —
+// cache → weight snapshot → memo → coalesce → run — whatever executes
+// the session: the local engines, or in coordinator mode a worker
+// fleet with a local half to fail over to (see dist.go).  Three layers
+// make it a service rather than an RPC wrapper:
 //
-//   - A solver cache keyed by the canonical topology fingerprint
-//     (structure only — weights excluded), with LRU eviction,
-//     single-flight compilation, and refcounted Solver.Close on
+//   - A session cache per instance kind, keyed by the canonical
+//     topology fingerprint (structure only — weights excluded), with
+//     LRU eviction, single-flight compilation, and refcounted Close on
 //     eviction.  Every weight assignment over one topology shares one
-//     compiled solver.
+//     compiled session.
 //   - A snapshot weight-update path: a request whose topology is
 //     cached but whose weights differ installs a new immutable weight
 //     snapshot (Solver.UpdateWeights) — no recompile of the CSR
@@ -94,10 +97,12 @@ type Config struct {
 	BatchLimit int
 	// WorkerAddrs, when non-empty, turns the server into the
 	// coordinator of a distributed worker fleet (anoncoverd -worker
-	// processes listening at these addresses): plain port-model
-	// vertex-cover requests compile into distributed sessions and
-	// execute across the fleet, with weight updates broadcast off the
-	// same snapshot machinery.  Other requests use the local engines.
+	// processes listening at these addresses).  Each cached
+	// vertex-cover topology is then one fleet-backed entry: plain
+	// port-model requests run on its fleet half, other requests and
+	// fleet faults on its local half, each half compiled on first need.
+	// Vertex-cover requests skip the batch window.  Set cover always
+	// runs on the local engines.
 	WorkerAddrs []string
 	// DistTimeout bounds control-frame round trips and worker barrier
 	// waits in distributed mode; 0 uses the dist package default.
@@ -112,8 +117,8 @@ type Config struct {
 	// the distributed path's circuit breaker (default 3);
 	// BreakerCooldown is how long it stays open before admitting a
 	// half-open trial request (default 2s).  While open, eligible
-	// requests run on local failover solvers instead of paying a doomed
-	// fleet attempt.
+	// requests run on their entries' local halves instead of paying a
+	// doomed fleet attempt.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// distConnHook wraps every coordinator-side connection; the fault
@@ -176,11 +181,10 @@ func (c Config) withDefaults() Config {
 // Close when done (closes every cached solver).
 type Server struct {
 	cfg     Config
-	vc      *cache[*anoncover.Solver]
-	sc      *cache[*anoncover.SetCoverSolver]
-	coord   *dist.Coordinator   // nil unless WorkerAddrs configured
-	dvc     *cache[*distSolver] // distributed sessions; nil with coord
-	brk     *breaker            // distributed-path circuit breaker
+	vc      *cache            // vertex-cover sessions (fleet-backed in coordinator mode)
+	sc      *cache            // set-cover sessions
+	coord   *dist.Coordinator // nil unless WorkerAddrs configured
+	brk     *breaker          // distributed-path circuit breaker
 	adm     *admission
 	ctrs    counters
 	flights *flights
@@ -201,8 +205,8 @@ func New(cfg Config) *Server {
 		flights: newFlights(),
 		started: time.Now(),
 	}
-	s.vc = newCache[*anoncover.Solver](cfg.CacheSize, cfg.MemoSize, &s.ctrs)
-	s.sc = newCache[*anoncover.SetCoverSolver](cfg.CacheSize, cfg.MemoSize, &s.ctrs)
+	s.vc = newCache("vertexcover", cfg.CacheSize, cfg.MemoSize, &s.ctrs)
+	s.sc = newCache("setcover", cfg.CacheSize, cfg.MemoSize, &s.ctrs)
 	s.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	if len(cfg.WorkerAddrs) > 0 {
 		s.traces = newTraceStore(0)
@@ -211,7 +215,6 @@ func New(cfg Config) *Server {
 			s.coord.FrameTimeout = cfg.DistTimeout
 		}
 		s.coord.ConnHook = cfg.distConnHook
-		s.dvc = newCache[*distSolver](cfg.CacheSize, cfg.MemoSize, &s.ctrs)
 		interval := cfg.ProbeInterval
 		if interval == 0 {
 			interval = defaultProbeInterval
@@ -227,16 +230,16 @@ func New(cfg Config) *Server {
 		s.batch, _ = newVCBatcher(s)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/vertexcover", s.handleVertexCover)
-	mux.HandleFunc("POST /v1/vertexcover/{fp}", s.handleVertexCoverCached)
-	mux.HandleFunc("POST /v1/setcover", s.handleSetCover)
-	mux.HandleFunc("POST /v1/setcover/{fp}", s.handleSetCoverCached)
+	mux.HandleFunc("POST /v1/vertexcover", s.handleRun(s.vc, s.parseVC))
+	mux.HandleFunc("POST /v1/vertexcover/{fp}", s.handleWeights(s.vc))
+	mux.HandleFunc("POST /v1/setcover", s.handleRun(s.sc, s.parseSC))
+	mux.HandleFunc("POST /v1/setcover/{fp}", s.handleWeights(s.sc))
 	mux.HandleFunc("GET /v1/solvers", s.handleSolversList)
 	mux.HandleFunc("DELETE /v1/solvers/{fp}", s.handleSolverDelete)
 	mux.HandleFunc("POST /v1/solvers/{fp}/pin", s.handleSolverPin)
 	mux.HandleFunc("DELETE /v1/solvers/{fp}/pin", s.handleSolverUnpin)
-	mux.HandleFunc("POST /v1/solvers/vertexcover", s.handleWarmVertexCover)
-	mux.HandleFunc("POST /v1/solvers/setcover", s.handleWarmSetCover)
+	mux.HandleFunc("POST /v1/solvers/vertexcover", s.handleWarm(s.vc, s.parseVC))
+	mux.HandleFunc("POST /v1/solvers/setcover", s.handleWarm(s.sc, s.parseSC))
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.tel = newTelemetry(s, cfg.Logger, cfg.RunLogSize)
@@ -270,14 +273,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// Close evicts and closes every cached solver and releases the batch
-// runner's pooled workers.  In-flight requests finish on the solvers
-// they hold; their solvers close on release.
+// Close evicts and closes every cached session and releases the batch
+// runner's pooled workers.  In-flight requests finish on the sessions
+// they hold; their sessions close on release.
 func (s *Server) Close() error {
 	s.vc.closeAll()
 	s.sc.closeAll()
 	if s.coord != nil {
-		s.dvc.closeAll()
 		s.coord.Close()
 	}
 	if s.batch != nil {

@@ -61,8 +61,9 @@ type Stats struct {
 	Revision      string    `json:"revision,omitempty"`
 
 	// Distributed reports the worker fleet in coordinator mode: per-
-	// worker health probes, cached distributed sessions, and the
-	// coordinator's transport counters.  Absent in single-process mode.
+	// worker health probes, cached entries with a compiled fleet half,
+	// and the coordinator's transport counters.  Absent in
+	// single-process mode.
 	Distributed *distStats `json:"distributed,omitempty"`
 }
 

@@ -124,7 +124,7 @@ func TestRunIDPropagation(t *testing.T) {
 // flight is counted once, as ClientGone — never as a RunError, and
 // never silently under the leader's outcome.  The test holds the
 // flight open itself (timing a real run against a client hangup over
-// HTTP is hopelessly racy), parks a joiner on it through serveVC, and
+// HTTP is hopelessly racy), parks a joiner on it through serve, and
 // kills the joiner's context in two scenarios: while the leader is
 // still running, and — the accounting race — with the leader's own
 // 499 failure already resolved when the joiner wakes.
@@ -134,21 +134,22 @@ func TestCoalescedAbandonAccounting(t *testing.T) {
 
 	g := anoncover.GridGraph(4, 4)
 	fp := g.Fingerprint()
-	e, _, err := srv.vc.acquire(context.Background(), fp, func() (*anoncover.Solver, error) {
-		return anoncover.Compile(g)
+	e, _, err := srv.vc.acquire(context.Background(), fp, func() (session, error) {
+		sol, err := anoncover.Compile(g)
+		return localVC{sol}, err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.vc.release(e)
 
-	// park runs serveVC as a joiner on an already-led flight and
+	// park runs serve as a joiner on an already-led flight and
 	// cancels it, returning the recorded response after resolve has
 	// settled the flight.
 	park := func(t *testing.T, p runParams, resolve func(f *flight, fkey string)) *httptest.ResponseRecorder {
 		t.Helper()
 		whash := hashWeights(g.Weights())
-		fkey := strings.Join([]string{"vc", fp, p.memoKey("vertexcover", whash)}, "|")
+		fkey := fp + "|" + p.memoKey("vertexcover", whash)
 		f, leader := srv.flights.join(fkey)
 		if !leader {
 			t.Fatal("flight already led")
@@ -160,7 +161,7 @@ func TestCoalescedAbandonAccounting(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			srv.serveVC(rec, ctx, p, e, fp, g.Weights(), true, time.Now())
+			srv.serve(rec, ctx, p, "vertexcover", e, g.Weights(), true, time.Now())
 		}()
 		deadline := time.Now().Add(5 * time.Second)
 		for srv.ctrs.Coalesced.Load() == before {
