@@ -49,10 +49,10 @@
 // bipartite analogue for SetCover.  The one-shot functions above
 // remain as thin wrappers over a throwaway Solver.
 //
-// All algorithms run on one of four interchangeable engines — a
-// sequential reference, a worker-pool parallel engine, a sharded
-// partitioned-graph engine (degree-balanced partitions with halo
-// message exchange on the cut edges, internal/shard), and a
+// All algorithms run on one of three interchangeable engines — a
+// sequential reference and a sharded engine, which are one round
+// kernel run on one shard or on k degree-balanced shards with halo
+// message exchange on the cut edges (internal/shard), and a
 // goroutine-per-node CSP reference — that produce bit-identical
 // results: the execution strategy is never observable, only the
 // synchronous port-numbering semantics of the paper.
@@ -78,23 +78,28 @@ import (
 // identical results.
 type Engine int
 
+// The values are fixed so that stored or logged engine numbers keep
+// their meaning; 1 belonged to the retired worker-pool engine.
 const (
-	// EngineSequential steps nodes one at a time (the reference engine).
-	EngineSequential Engine = iota
-	// EngineParallel splits nodes into contiguous index ranges across a
-	// worker pool sharing one global inbox.
-	EngineParallel
+	// EngineSequential runs the round kernel with one shard stepped by
+	// one worker, nodes in index order: the reference engine.
+	EngineSequential Engine = 0
 	// EngineCSP runs one goroutine per node with channel-per-edge
 	// communication and no global barrier.  It is a semantic reference
 	// kept for the equivalence suite, not a throughput engine.
-	EngineCSP
-	// EngineSharded partitions the graph into degree-balanced shards,
-	// one pinned worker per shard, each stepping its nodes against a
-	// compact local inbox; messages on cut edges cross through
-	// double-buffered halo buffers at the phase barrier.  WithWorkers
-	// sets the shard count.  Sharding is an execution detail: results
-	// are bit-identical to EngineSequential.
-	EngineSharded
+	EngineCSP Engine = 2
+	// EngineSharded runs the same round kernel on degree-balanced
+	// shards, one pinned worker per shard, each stepping its nodes
+	// against a compact local inbox; messages on cut edges cross
+	// through double-buffered halo buffers at the phase barrier.
+	// WithWorkers sets the shard count.  Sharding is an execution
+	// detail: results are bit-identical to EngineSequential.
+	EngineSharded Engine = 3
+	// EngineParallel selects EngineSharded.
+	//
+	// Deprecated: the worker-pool engine it named was folded into the
+	// sharded kernel; use EngineSharded with WithWorkers.
+	EngineParallel = EngineSharded
 )
 
 // String names the engine as it appears in request parameters, bench
@@ -103,8 +108,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineSequential:
 		return "sequential"
-	case EngineParallel:
-		return "parallel"
 	case EngineCSP:
 		return "csp"
 	case EngineSharded:
@@ -113,10 +116,23 @@ func (e Engine) String() string {
 	return fmt.Sprintf("engine(%d)", int(e))
 }
 
+// ParseEngine maps an engine name — "sequential", "sharded" or "csp",
+// as String prints them — to its Engine.  "parallel" is accepted for
+// the deprecated EngineParallel and yields EngineSharded.
+func ParseEngine(name string) (Engine, error) {
+	switch name {
+	case "sequential":
+		return EngineSequential, nil
+	case "sharded", "parallel":
+		return EngineSharded, nil
+	case "csp":
+		return EngineCSP, nil
+	}
+	return 0, fmt.Errorf("unknown engine %q (want sequential, sharded or csp)", name)
+}
+
 func (e Engine) internal() sim.Engine {
 	switch e {
-	case EngineParallel:
-		return sim.Parallel
 	case EngineCSP:
 		return sim.CSP
 	case EngineSharded:
@@ -144,7 +160,7 @@ type config struct {
 // error rather than silent misbehaviour.
 func (c *config) validate() error {
 	switch c.engine {
-	case EngineSequential, EngineParallel, EngineCSP, EngineSharded:
+	case EngineSequential, EngineCSP, EngineSharded:
 	default:
 		return fmt.Errorf("anoncover: unknown engine %d", int(c.engine))
 	}
@@ -172,8 +188,8 @@ type Option func(*config)
 // WithEngine selects the execution engine.
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
-// WithWorkers sets the worker-pool size for EngineParallel and the
-// shard count for EngineSharded.
+// WithWorkers sets the shard count (and so the worker count) for
+// EngineSharded.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithRoundBudget caps the number of synchronous rounds a run may
@@ -184,8 +200,8 @@ func WithRoundBudget(n int) Option { return func(c *config) { c.budget = n } }
 
 // WithObserver streams per-round progress: fn is called after every
 // completed round, on the goroutine driving the run, with cumulative
-// message statistics.  Supported by the Sequential, Parallel and
-// Sharded engines; a run on EngineCSP (which has no round barrier)
+// message statistics.  Supported by the Sequential and Sharded
+// engines; a run on EngineCSP (which has no round barrier)
 // returns an error if an observer is set.
 func WithObserver(fn func(RoundInfo)) Option { return func(c *config) { c.observer = fn } }
 
@@ -268,13 +284,7 @@ type VertexCoverResult struct {
 // maximal, Cover is exactly the saturated nodes, and the duality
 // certificate w(C) <= 2·Σy(e) holds.  It returns nil on success.
 func (r *VertexCoverResult) Verify() error {
-	if err := check.EdgePackingMaximal(r.g, r.y); err != nil {
-		return err
-	}
-	if err := check.VCDualityCertificate(r.g, r.y, r.Cover); err != nil {
-		return err
-	}
-	return nil
+	return check.VCResult(r.g, r.y, r.Cover)
 }
 
 func newVCResult(g *graph.G, y []rational.Rat, cover []bool, rounds int, st sim.Stats) *VertexCoverResult {
@@ -360,10 +370,7 @@ type SetCoverResult struct {
 // Verify re-checks the paper invariants: feasibility, maximality, and
 // the f-approximation certificate w(C) <= f·Σy(u).
 func (r *SetCoverResult) Verify() error {
-	if err := check.FracPackingMaximal(r.ins, r.y); err != nil {
-		return err
-	}
-	return check.SCDualityCertificate(r.ins, r.y, r.Cover, r.ins.MaxF())
+	return check.SCResult(r.ins, r.y, r.Cover, r.ins.MaxF())
 }
 
 // SetCover runs the Section 4 algorithm on ins: a deterministic

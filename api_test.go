@@ -2,7 +2,10 @@ package anoncover
 
 import (
 	"bytes"
+	"math/big"
 	"testing"
+
+	"anoncover/internal/check"
 )
 
 func TestVertexCoverAPI(t *testing.T) {
@@ -75,7 +78,7 @@ func TestEnginesAgreeThroughAPI(t *testing.T) {
 	g := RandomGraph(40, 80, 5, 7)
 	g.WeighRandom(20, 8)
 	ref := VertexCover(g, WithEngine(EngineSequential))
-	for _, e := range []Engine{EngineParallel, EngineCSP, EngineSharded} {
+	for _, e := range []Engine{EngineCSP, EngineSharded} {
 		got := VertexCover(g, WithEngine(e), WithWorkers(4))
 		if got.Weight != ref.Weight {
 			t.Fatalf("engine %v: weight %d != %d", e, got.Weight, ref.Weight)
@@ -242,5 +245,55 @@ func TestDegenerateInstances(t *testing.T) {
 	oneRes := VertexCoverBroadcast(one)
 	if err := oneRes.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyRejectsUnsaturatedCoverNode: Cover is exactly the saturated
+// nodes, so a cover that also claims one unsaturated node must fail
+// Verify — even when the duality certificate has the slack to absorb
+// the extra weight and so cannot catch it on its own.
+func TestVerifyRejectsUnsaturatedCoverNode(t *testing.T) {
+	g := RandomGraph(40, 80, 5, 7)
+	g.WeighRandom(20, 8)
+	res := VertexCover(g)
+	if err := res.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	sum := new(big.Rat)
+	for _, y := range res.Packing {
+		sum.Add(sum, y)
+	}
+	slack := new(big.Rat).Sub(sum.Mul(sum, big.NewRat(2, 1)), big.NewRat(res.Weight, 1))
+	for v, in := range res.Cover {
+		if in || big.NewRat(g.Weight(v), 1).Cmp(slack) > 0 {
+			continue
+		}
+		res.Cover[v] = true
+		if err := check.VCDualityCertificate(res.g, res.y, res.Cover); err != nil {
+			t.Fatalf("premise: the certificate should still hold with node %d added: %v", v, err)
+		}
+		if err := res.Verify(); err == nil {
+			t.Fatalf("Verify accepted unsaturated node %d in the cover", v)
+		}
+		return
+	}
+	t.Fatal("premise: no uncovered node fits the certificate's slack")
+}
+
+// TestParseEngine: every engine name String prints parses back to its
+// engine, and the deprecated "parallel" name selects the sharded kernel.
+func TestParseEngine(t *testing.T) {
+	for _, e := range []Engine{EngineSequential, EngineSharded, EngineCSP} {
+		got, err := ParseEngine(e.String())
+		if err != nil || got != e {
+			t.Fatalf("ParseEngine(%q) = %v, %v", e.String(), got, err)
+		}
+	}
+	got, err := ParseEngine("parallel")
+	if err != nil || got != EngineSharded || EngineParallel != EngineSharded || got.String() != "sharded" {
+		t.Fatalf(`ParseEngine("parallel") = %v, %v; want the sharded engine`, got, err)
+	}
+	if _, err := ParseEngine("warp"); err == nil {
+		t.Fatal("ParseEngine accepted an unknown engine name")
 	}
 }

@@ -3,11 +3,9 @@ package anoncover
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"anoncover/internal/core/edgepack"
 	"anoncover/internal/graph"
-	"anoncover/internal/shard"
 	"anoncover/internal/sim"
 )
 
@@ -94,17 +92,7 @@ func (b *BatchRunner) VertexCover(ctx context.Context, gs []*Graph, opts ...Opti
 			nodeParams[v] = p
 		}
 	}
-	flat := u.G.Flat()
-	var top sim.Topology = flat
-	if c.engine == EngineSharded {
-		k := c.workers
-		if k <= 0 {
-			k = runtime.GOMAXPROCS(0)
-		}
-		st := shard.BuildK(flat, k)
-		c.workers = st.K()
-		top = st
-	}
+	top := c.compileTopology(u.G.Flat())
 	res, err := edgepack.Run(u.G, edgepack.Options{
 		Engine: c.engine.internal(), Workers: c.workers,
 		Topology: top, Context: ctx, RoundBudget: c.budget,

@@ -91,7 +91,7 @@ func TestVertexCoverBatchMatchesSolo(t *testing.T) {
 // of different shapes on one runner (recycled pools and programs) stay
 // bit-identical to solo runs, including after Close.
 func TestBatchRunnerReuse(t *testing.T) {
-	b, err := NewBatchRunner(WithEngine(EngineParallel), WithWorkers(2))
+	b, err := NewBatchRunner(WithEngine(EngineSharded), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -282,11 +282,11 @@ func BenchmarkSection7_Frucht(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines: identical work on all three engines.
+// BenchmarkEngines: identical work on every in-process engine.
 func BenchmarkEngines(b *testing.B) {
 	g := graph.RandomBoundedDegree(5000, 12000, 6, 3)
 	graph.RandomWeights(g, 30, 4)
-	for _, eng := range []sim.Engine{sim.Sequential, sim.Parallel, sim.CSP} {
+	for _, eng := range []sim.Engine{sim.Sequential, sim.Sharded, sim.CSP} {
 		b.Run(eng.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				edgepack.MustRun(g, edgepack.Options{Engine: eng})

@@ -133,7 +133,7 @@ func runWorker(logger *slog.Logger, addr, debugAddr string, frameTimeout time.Du
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		engine      = flag.String("engine", "sharded", "session engine solvers compile with: sequential | parallel | sharded")
+		engine      = flag.String("engine", "sharded", "session engine solvers compile with: sequential | sharded")
 		workers     = flag.Int("workers", 0, "worker/shard count for the session engine; 0 = GOMAXPROCS")
 		cacheSize   = flag.Int("cache", 16, "compiled solvers cached per kind (LRU)")
 		memoSize    = flag.Int("memo", 8, "memoized results per cached solver; 0 disables")
@@ -197,17 +197,12 @@ func main() {
 		cfg.DistTimeout = *distTimeout
 		cfg.ProbeInterval = *probeEvery
 	}
-	switch *engine {
-	case "sequential":
-		cfg = cfg.WithEngineDefault(anoncover.EngineSequential)
-	case "parallel":
-		cfg = cfg.WithEngineDefault(anoncover.EngineParallel)
-	case "sharded":
-		cfg = cfg.WithEngineDefault(anoncover.EngineSharded)
-	default:
+	eng, err := anoncover.ParseEngine(*engine)
+	if err != nil || eng == anoncover.EngineCSP {
 		logger.Error("anoncoverd: unknown engine (the csp test oracle cannot serve)", "engine", *engine)
 		os.Exit(2)
 	}
+	cfg = cfg.WithEngineDefault(eng)
 
 	svc := serve.New(cfg)
 	httpSrv := &http.Server{

@@ -40,7 +40,7 @@ type benchRow struct {
 	// public API.
 	Workload string `json:"workload,omitempty"`
 	// Gomaxprocs is runtime.GOMAXPROCS(0) during this row's run; for
-	// parallel and sharded rows it is forced to at least Workers.
+	// sharded rows it is forced to at least Workers.
 	Gomaxprocs     int     `json:"gomaxprocs"`
 	Family         string  `json:"family"`
 	N              int     `json:"n"`
@@ -229,8 +229,6 @@ func benchMatrix(path string, quick bool) {
 		workers int
 	}{
 		{"sequential", sim.Sequential, 1},
-		{"parallel-2", sim.Parallel, 2},
-		{"parallel-4", sim.Parallel, 4},
 		{"sharded-2", sim.Sharded, 2},
 		{"sharded-4", sim.Sharded, 4},
 		{"sharded-8", sim.Sharded, 8},
@@ -247,16 +245,12 @@ func benchMatrix(path string, quick bool) {
 	fmt.Println("|---|---|---|---|---|---|---|---|---|")
 	for _, tp := range benchTopologies(quick) {
 		for _, eng := range engines {
-			top := sim.Topology(tp.flat)
-			cut := 0
-			if eng.engine == sim.Sharded {
-				// Pre-build the partitioned view, like the flat CSR: the
-				// matrix measures execution, not one-time partitioning.
-				st := shard.BuildK(tp.flat, eng.workers)
-				cut = st.Part().CutEdges
-				top = st
-			}
-			// Parallel and sharded rows are meaningless below
+			// Pre-build the partitioned view (one shard for sequential),
+			// like the flat CSR: the matrix measures execution, not
+			// one-time partitioning.
+			top := shard.BuildK(tp.flat, eng.workers)
+			cut := top.Part().CutEdges
+			// Sharded rows are meaningless below
 			// GOMAXPROCS = workers; force it up for the row and restore
 			// after, recording the value actually used.
 			procs := base

@@ -494,7 +494,7 @@ func e11Frucht() {
 	fmt.Printf("covering-graph invariance on a weighted 3-fold lift: outputs fibre-constant: %v\n", fibre)
 }
 
-// e12Engines compares the three execution engines.
+// e12Engines compares the execution engines.
 func e12Engines() {
 	header("E12", "Engines: identical results, different throughput")
 	g := graph.RandomBoundedDegree(20000, 50000, 6, 3)
@@ -502,7 +502,7 @@ func e12Engines() {
 	fmt.Println("| engine | wall time | cover weight |")
 	fmt.Println("|---|---|---|")
 	var ref int64 = -1
-	for _, eng := range []sim.Engine{sim.Sequential, sim.Parallel, sim.Sharded, sim.CSP} {
+	for _, eng := range []sim.Engine{sim.Sequential, sim.Sharded, sim.CSP} {
 		start := time.Now()
 		res := edgepack.MustRun(g, edgepack.Options{Engine: eng})
 		el := time.Since(start)

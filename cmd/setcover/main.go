@@ -31,7 +31,7 @@ func main() {
 		maxW      = flag.Int64("maxw", 1, "maximum subset weight")
 		seed      = flag.Int64("seed", 1, "generator seed")
 		symmetric = flag.Int("symmetric", 0, "use the symmetric K_{p,p} lower-bound instance")
-		engine    = flag.String("engine", "sequential", "engine: sequential | parallel | sharded | csp")
+		engine    = flag.String("engine", "sequential", "engine: sequential | sharded | csp")
 		doOpt     = flag.Bool("exact", false, "also compute the exact optimum (small instances)")
 		earlyExit = flag.Bool("earlyexit", false, "stop the simulation once the packing is maximal (ScheduledRounds stays the honest cost)")
 		reweigh   = flag.Int("reweigh", 0, "after the main run, rerun N times with fresh random -maxw subset weights, reusing the compiled solver via snapshot weight updates (no recompile)")
@@ -56,18 +56,9 @@ func main() {
 		ins = anoncover.RandomSetCover(*s, *u, *f, *k, *maxW, *seed)
 	}
 
-	var eng anoncover.Engine
-	switch *engine {
-	case "sequential":
-		eng = anoncover.EngineSequential
-	case "parallel":
-		eng = anoncover.EngineParallel
-	case "sharded":
-		eng = anoncover.EngineSharded
-	case "csp":
-		eng = anoncover.EngineCSP
-	default:
-		log.Fatalf("unknown engine %q", *engine)
+	eng, err := anoncover.ParseEngine(*engine)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Compile once, then run through the session API, which surfaces

@@ -29,7 +29,7 @@ func main() {
 		maxW     = flag.Int64("maxw", 1, "maximum node weight; 1 = unweighted")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		model    = flag.String("model", "port", "communication model: port | broadcast")
-		engine   = flag.String("engine", "sequential", "engine: sequential | parallel | sharded | csp")
+		engine   = flag.String("engine", "sequential", "engine: sequential | sharded | csp")
 		doOpt    = flag.Bool("exact", false, "also compute the exact optimum (small graphs)")
 		budget   = flag.Int("budget", 0, "round budget; the run fails if the schedule needs more")
 		progress = flag.Bool("progress", false, "stream per-round progress to stderr")
@@ -55,18 +55,9 @@ func main() {
 		}
 	}
 
-	var eng anoncover.Engine
-	switch *engine {
-	case "sequential":
-		eng = anoncover.EngineSequential
-	case "parallel":
-		eng = anoncover.EngineParallel
-	case "sharded":
-		eng = anoncover.EngineSharded
-	case "csp":
-		eng = anoncover.EngineCSP
-	default:
-		log.Fatalf("unknown engine %q", *engine)
+	eng, err := anoncover.ParseEngine(*engine)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Compile once, then run: the session API is the serving path, and
@@ -113,7 +104,7 @@ func main() {
 		}
 	}
 	fmt.Printf("graph: n=%d m=%d Δ=%d W=%d\n", g.N(), g.M(), g.MaxDegree(), g.MaxWeight())
-	fmt.Printf("model: %s   engine: %s\n", *model, *engine)
+	fmt.Printf("model: %s   engine: %s\n", *model, eng)
 	fmt.Printf("cover: %d nodes, weight %d (2-approximation, certificate verified)\n", size, res.Weight)
 	fmt.Printf("rounds: %d   messages: %d   bytes: %d\n", res.Rounds, res.Messages, res.Bytes)
 	if *doOpt {

@@ -55,7 +55,7 @@ func TestPSDistributedMatchesReference(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			g := gen(seed)
 			ref := PolishchukSuomela3Approx(g)
-			for _, eng := range []sim.Engine{sim.Sequential, sim.Parallel, sim.CSP} {
+			for _, eng := range []sim.Engine{sim.Sequential, sim.Sharded, sim.CSP} {
 				got, _ := PolishchukSuomelaDistributed(g, sim.Options{Engine: eng})
 				if got.Rounds != ref.Rounds {
 					t.Fatalf("gen %d seed %d engine %v: rounds %d != %d",

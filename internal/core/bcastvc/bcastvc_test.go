@@ -97,7 +97,7 @@ func TestScrambleSeedsAndEnginesAgree(t *testing.T) {
 	g := graph.RandomBoundedDegree(8, 11, 3, 9)
 	graph.RandomWeights(g, 5, 10)
 	ref := MustRun(g, Options{})
-	for _, eng := range []sim.Engine{sim.Parallel, sim.CSP} {
+	for _, eng := range []sim.Engine{sim.Sharded, sim.CSP} {
 		got := MustRun(g, Options{Engine: eng})
 		for e := range ref.Y {
 			if !got.Y[e].Equal(ref.Y[e]) {

@@ -137,7 +137,7 @@ func TestEnginesProduceIdenticalResults(t *testing.T) {
 	g := graph.RandomBoundedDegree(60, 140, 6, 3)
 	graph.RandomWeights(g, 30, 4)
 	ref := MustRun(g, Options{Engine: sim.Sequential})
-	for _, eng := range []sim.Engine{sim.Parallel, sim.CSP} {
+	for _, eng := range []sim.Engine{sim.Sharded, sim.CSP} {
 		got := MustRun(g, Options{Engine: eng})
 		for e := range ref.Y {
 			if !got.Y[e].Equal(ref.Y[e]) {

@@ -271,7 +271,7 @@ func TestVertexCoverIncidenceInstances(t *testing.T) {
 func TestEnginesAndScrambleSeedsAgree(t *testing.T) {
 	ins := bipartite.Random(8, 18, 3, 5, 12, 42)
 	ref := MustRun(ins, Options{Engine: sim.Sequential})
-	for _, eng := range []sim.Engine{sim.Sequential, sim.Parallel, sim.CSP} {
+	for _, eng := range []sim.Engine{sim.Sequential, sim.Sharded, sim.CSP} {
 		for _, seed := range []int64{0, 7, 1234} {
 			got := MustRun(ins, Options{Engine: eng, ScrambleSeed: seed})
 			for u := range ref.Y {

@@ -193,54 +193,13 @@ type shardExec struct {
 	trace                              *obs.ShardTrace
 	hCompute, hSerialize, hWait, hSend *obs.Histogram
 
-	// Wire-path state, mirroring sim's wireSetup.
-	wprogs      []sim.WirePortProgram
-	codec       sim.WireCodec
-	maxW        int
-	boxedRounds bool
+	// Wire-path decision, taken by sim.PlanWire exactly as the
+	// in-process kernel takes it.  Programs are uniform across nodes,
+	// so every shard reaches the same verdict and the cluster stays in
+	// lockstep on the path taken.
+	wire sim.WirePlan
 
 	msgs, bytes int64
-}
-
-// wireSetup decides the shard's delivery paths exactly as the
-// in-memory engines do (sim.wireSetup): wire only when every program
-// opts in, with per-round widths from the first program's codec.
-// Programs are uniform across nodes, so every shard reaches the same
-// verdict and the cluster stays in lockstep on the path taken.
-func (e *shardExec) wireSetup() {
-	if e.noWire || e.port == nil {
-		return
-	}
-	wp := make([]sim.WirePortProgram, len(e.port))
-	for i, p := range e.port {
-		w, ok := p.(sim.WirePortProgram)
-		if !ok {
-			return
-		}
-		wp[i] = w
-	}
-	maxW := 0
-	boxed := false
-	var codec sim.WireCodec
-	if len(wp) > 0 {
-		codec = wp[0]
-	}
-	for r := 1; r <= e.rounds; r++ {
-		w := 0
-		if codec != nil {
-			w = codec.WireWords(r)
-		}
-		if w > maxW {
-			maxW = w
-		}
-		if w == 0 {
-			boxed = true
-		}
-	}
-	if maxW == 0 {
-		return
-	}
-	e.wprogs, e.codec, e.maxW, e.boxedRounds = wp, codec, maxW, boxed
 }
 
 // run executes the shard's rounds.  On any failure the shared runState
@@ -254,24 +213,24 @@ func (e *shardExec) run() error {
 			maxDeg = d
 		}
 	}
-	e.wireSetup()
+	e.wire = sim.PlanWire(e.port, e.rounds, e.noWire)
 
 	var inbox []sim.Message
 	var halo [2][]sim.Message
 	var inboxW []uint64
 	var haloW [2][]uint64
 	var outW, laneScratch []uint64
-	if e.codec == nil || e.boxedRounds {
+	if e.wire.Codec == nil || e.wire.BoxedRounds {
 		inbox = make([]sim.Message, inboxLen)
 		halo[0] = make([]sim.Message, p.HaloOut)
 		halo[1] = make([]sim.Message, p.HaloOut)
 	}
-	if e.codec != nil {
-		inboxW = make([]uint64, e.maxW*inboxLen)
-		haloW[0] = make([]uint64, e.maxW*p.HaloOut)
-		haloW[1] = make([]uint64, e.maxW*p.HaloOut)
-		outW = make([]uint64, e.maxW*maxDeg)
-		laneScratch = make([]uint64, e.maxW*inboxLen)
+	if e.wire.Codec != nil {
+		inboxW = make([]uint64, e.wire.MaxW*inboxLen)
+		haloW[0] = make([]uint64, e.wire.MaxW*p.HaloOut)
+		haloW[1] = make([]uint64, e.wire.MaxW*p.HaloOut)
+		outW = make([]uint64, e.wire.MaxW*maxDeg)
+		laneScratch = make([]uint64, e.wire.MaxW*inboxLen)
 	}
 	var flushBuf []byte
 
@@ -302,8 +261,8 @@ func (e *shardExec) run() error {
 			return sim.ErrRoundBudget
 		}
 		curW := 0
-		if e.codec != nil {
-			curW = e.codec.WireWords(round)
+		if e.wire.Codec != nil {
+			curW = e.wire.Codec.WireWords(round)
 		}
 		gen := round & 1
 
@@ -346,7 +305,7 @@ func (e *shardExec) run() error {
 				base := p.Off[i]
 				deg := int(p.Off[i+1] - base)
 				lanes := outW[:deg*curW]
-				m, b, ok := e.wprogs[i].SendWire(round, lanes)
+				m, b, ok := e.wire.Progs[i].SendWire(round, lanes)
 				if !ok {
 					// A lane could not hold its value; receivers would
 					// decode garbage, so nothing is flushed and the
@@ -518,7 +477,7 @@ func (e *shardExec) run() error {
 			}
 		case curW > 0:
 			for i := range p.Nodes {
-				e.wprogs[i].RecvWire(round, inboxW[curW*int(p.Off[i]):curW*int(p.Off[i+1])])
+				e.wire.Progs[i].RecvWire(round, inboxW[curW*int(p.Off[i]):curW*int(p.Off[i+1])])
 			}
 		default:
 			for i := range p.Nodes {

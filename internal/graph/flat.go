@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // PortSource is the minimal port structure a CSR view can be built from.
@@ -17,20 +16,12 @@ type PortSource interface {
 
 // FlatTopology is a compressed-sparse-row (CSR) view of a port
 // structure: every half-edge of the network in one contiguous slice,
-// with node v's ports at halves[off[v]:off[v+1]].  The offsets double as
-// the index space for the sim engines' flat inboxes — the message
-// arriving at node v through port p lives at slot Off(v)+p — so the
-// whole receive state of a round is one allocation instead of one slice
-// per node.
+// with node v's ports at halves[off[v]:off[v+1]].  It is the input the
+// shard package partitions into the simulator's per-shard inboxes and
+// route tables, and the view the distributed coordinator plans from.
 type FlatTopology struct {
 	off    []int32
 	halves []Half
-
-	// Wire-path routing tables, built lazily on first use and shared by
-	// every run over this topology (see WireDst/WireSrc).
-	wireOnce sync.Once
-	wireDst  []int32
-	wireSrc  []int32
 }
 
 // Flatten builds the CSR view of src.  Offsets are 32-bit for
@@ -90,41 +81,6 @@ func (f *FlatTopology) Off(v int) int { return int(f.off[v]) }
 // HalfEdges returns the total number of half-edges (2M for a simple
 // graph, M incidences counted from both sides for a bipartite instance).
 func (f *FlatTopology) HalfEdges() int { return len(f.halves) }
-
-// buildWireTables fills the lazily cached wire-path routing views.
-func (f *FlatTopology) buildWireTables() {
-	f.wireOnce.Do(func() {
-		dst := make([]int32, len(f.halves))
-		src := make([]int32, len(f.halves))
-		for j, h := range f.halves {
-			dst[j] = f.off[h.To] + int32(h.RevPort)
-			src[j] = int32(h.To)
-		}
-		f.wireDst = dst
-		f.wireSrc = src
-	})
-}
-
-// WireDst returns the scatter table of the simulator's wire path: the
-// message leaving half-edge j (CSR index) lands in inbox slot
-// WireDst()[j].  A 4-byte table read replaces the 24-byte Half load
-// plus offset lookup on the per-half-edge hot path — the flat-engine
-// analogue of the shard route tables.  Built once per topology on
-// first use; safe for concurrent runs; callers must not modify it.
-func (f *FlatTopology) WireDst() []int32 {
-	f.buildWireTables()
-	return f.wireDst
-}
-
-// WireSrc returns the gather table of the broadcast wire path: inbox
-// slot j is fed by node WireSrc()[j] (the far endpoint of its
-// half-edge), a static property of the topology that lets receivers
-// pull interned per-node values without any scatter.  Built with
-// WireDst; callers must not modify it.
-func (f *FlatTopology) WireSrc() []int32 {
-	f.buildWireTables()
-	return f.wireSrc
-}
 
 // MaxDeg returns the largest node degree.  It is recomputed on each
 // call (one O(n) offset scan); engines call it once per run to size

@@ -178,12 +178,7 @@ func (f *fleetVC) runFleet(ctx context.Context, p runParams, w []int64) (ran, er
 		algo: "vertexcover", n: gv.N(), m: gv.M(),
 		cover: res.Cover, weight: res.CoverWeight(gv),
 		rounds: res.Rounds, messages: res.Stats.Messages, bytes: res.Stats.Bytes,
-		verify: func() error {
-			if err := check.EdgePackingMaximal(gv, res.Y); err != nil {
-				return err
-			}
-			return check.VCDualityCertificate(gv, res.Y, res.Cover)
-		},
+		verify: func() error { return check.VCResult(gv, res.Y, res.Cover) },
 	}, nil
 }
 

@@ -48,21 +48,15 @@ func (s *Server) parseRunParams(r *http.Request) (runParams, error) {
 		p.model = m
 	}
 	if e := q.Get("engine"); e != "" {
-		var eng anoncover.Engine
-		switch e {
-		case "sequential":
-			eng = anoncover.EngineSequential
-		case "parallel":
-			eng = anoncover.EngineParallel
-		case "sharded":
-			eng = anoncover.EngineSharded
-		case "csp":
+		eng, err := anoncover.ParseEngine(e)
+		if err != nil {
+			return p, err
+		}
+		if eng == anoncover.EngineCSP {
 			return p, fmt.Errorf("the csp engine is a test oracle and cannot serve requests (no round barrier for deadlines or progress)")
-		default:
-			return p, fmt.Errorf("unknown engine %q", e)
 		}
 		p.engine = append(p.engine, anoncover.WithEngine(eng))
-		p.engineName = e
+		p.engineName = eng.String()
 	}
 	if w := q.Get("workers"); w != "" {
 		n, err := strconv.Atoi(w)

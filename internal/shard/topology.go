@@ -60,16 +60,21 @@ type Shard struct {
 	// entries they will never store through.
 	BRoute []int32
 	BOff   []int32
+	// ValBase places the shard's nodes in a run's flat per-node value
+	// table: the value Nodes[i] publishes in a broadcast round lives at
+	// ValBase+i.  Shards tile [0, N) in shard order, so each shard
+	// writes one contiguous block and only block edges share a cache
+	// line.
+	ValBase int32
 	// BSrc is the broadcast-model sender table: for every local inbox
-	// slot (same indexing as Route), the shard and local node index of
-	// the node whose published value feeds the slot, packed as
-	// shard<<32 | localIndex.  In the broadcast model the sender of a
-	// slot is a static property of the topology, so engines that
-	// intern each node's per-round value (the wire path) deliver by
-	// gathering BSrc[slot] from the publishing shard's value table —
-	// replacing both the dense BRoute scatter and the ghost-cell halo
-	// drain with one indexed read per slot.
-	BSrc []uint64
+	// slot (same indexing as Route), the value-table position (see
+	// ValBase) of the node whose published value feeds the slot.  In
+	// the broadcast model the sender of a slot is a static property of
+	// the topology, so engines that intern each node's per-round value
+	// (the wire path) deliver by gathering BSrc[slot] from the value
+	// table — replacing both the dense BRoute scatter and the ghost-cell
+	// halo drain with one indexed read per slot.
+	BSrc []int32
 	// HaloOut is the size of the shard's halo-out buffer.
 	HaloOut int
 	// Out describes the halo-out buffer's layout as outgoing segments,
@@ -101,20 +106,20 @@ func (s *Shard) InboxLen() int { return int(s.Off[len(s.Nodes)]) }
 // shard Src's halo-out buffer, delivered in order to the owning
 // shard's inbox at Slots.
 //
-// SrcNode additionally records, per message, the local index (in shard
-// Src's Nodes) of the node that sent it.  Broadcast-model engines use
-// it to run the halo exchange in ghost-cell style: a sending shard
-// publishes one value per node (every port carries the same message in
-// the broadcast model, so per-edge halo-out slots would all repeat
-// it), and the receiving shard pulls src's published value through
-// SrcNode instead of draining a per-edge buffer.  Port-model engines,
-// where each port's message differs, use the per-edge halo-out buffer
-// and ignore SrcNode.
+// SrcVal additionally records, per message, the value-table position
+// (see Shard.ValBase) of the node that sent it.  Broadcast-model
+// engines use it to run the halo exchange in ghost-cell style: a
+// sending shard publishes one value per node (every port carries the
+// same message in the broadcast model, so per-edge halo-out slots would
+// all repeat it), and the receiving shard pulls the published value
+// through SrcVal instead of draining a per-edge buffer.  Port-model
+// engines, where each port's message differs, use the per-edge
+// halo-out buffer and ignore SrcVal.
 type HaloIn struct {
-	Src     int32
-	Lo      int32
-	Slots   []int32
-	SrcNode []int32
+	Src    int32
+	Lo     int32
+	Slots  []int32
+	SrcVal []int32
 }
 
 // segment is one (source shard, destination shard) slice of a halo-out
@@ -128,10 +133,11 @@ type segment struct {
 }
 
 // cutEntry is one cut half-edge during halo layout: the destination
-// inbox slot, the source node's local index, and the source-side route
-// index to back-patch once the segment order is fixed.
+// inbox slot, the source node's value-table position, and the
+// source-side route index to back-patch once the segment order is
+// fixed.
 type cutEntry struct {
-	slot, srcNode, routeJ int32
+	slot, srcVal, routeJ int32
 }
 
 // Build assembles the execution view of ft under partition p.
@@ -143,6 +149,7 @@ func Build(ft *graph.FlatTopology, p *Partition) *Topology {
 	// Local CSR per shard, plus the global node -> local index map the
 	// route construction needs to find destination slots.
 	localIdx := make([]int32, n)
+	var valBase int32
 	for s := 0; s < k; s++ {
 		nodes := p.Nodes[s]
 		off := make([]int32, len(nodes)+1)
@@ -151,11 +158,13 @@ func Build(ft *graph.FlatTopology, p *Partition) *Topology {
 			off[i+1] = off[i] + int32(ft.Deg(int(v)))
 		}
 		st.Shards[s] = Shard{
-			Nodes: nodes,
-			Off:   off,
-			Route: make([]int32, off[len(nodes)]),
-			BSrc:  make([]uint64, off[len(nodes)]),
+			Nodes:   nodes,
+			Off:     off,
+			Route:   make([]int32, off[len(nodes)]),
+			ValBase: valBase,
+			BSrc:    make([]int32, off[len(nodes)]),
 		}
+		valBase += int32(len(nodes))
 	}
 
 	// Halo segment layout: shard s's halo-out buffer is its cut
@@ -203,14 +212,15 @@ func Build(ft *graph.FlatTopology, p *Partition) *Topology {
 				// Whatever the delivery path, slot dst of shard t is fed
 				// by this node; record the static sender for the
 				// interned broadcast gather.
-				st.Shards[t].BSrc[dst] = uint64(s)<<32 | uint64(uint32(i))
+				val := sh.ValBase + int32(i)
+				st.Shards[t].BSrc[dst] = val
 				if t == int32(s) {
 					sh.Route[j] = dst
 					sh.BRoute = append(sh.BRoute, dst)
 				} else {
 					sg := segs[s][t]
 					sg.entries = append(sg.entries,
-						cutEntry{slot: dst, srcNode: int32(i), routeJ: int32(j)})
+						cutEntry{slot: dst, srcVal: val, routeJ: int32(j)})
 				}
 				j++
 			}
@@ -230,15 +240,15 @@ func Build(ft *graph.FlatTopology, p *Partition) *Topology {
 				return sg.entries[a].slot < sg.entries[b].slot
 			})
 			in := HaloIn{
-				Src:     int32(s),
-				Lo:      sg.off,
-				Slots:   make([]int32, len(sg.entries)),
-				SrcNode: make([]int32, len(sg.entries)),
+				Src:    int32(s),
+				Lo:     sg.off,
+				Slots:  make([]int32, len(sg.entries)),
+				SrcVal: make([]int32, len(sg.entries)),
 			}
 			for pos, e := range sg.entries {
 				sh.Route[e.routeJ] = ^(sg.off + int32(pos))
 				in.Slots[pos] = e.slot
-				in.SrcNode[pos] = e.srcNode
+				in.SrcVal[pos] = e.srcVal
 			}
 			st.Shards[t].In = append(st.Shards[t].In, in)
 		}
@@ -364,9 +374,19 @@ func (st *Topology) Validate() error {
 			}
 		}
 	}
+	// The value table: shards must tile [0, N) in shard order, and
+	// owner maps each position back to its node.
+	owner := make([]int32, 0, ft.N())
+	for s := range st.Shards {
+		sh := &st.Shards[s]
+		if int(sh.ValBase) != len(owner) {
+			return fmt.Errorf("shard %d: values start at %d, want %d", s, sh.ValBase, len(owner))
+		}
+		owner = append(owner, sh.Nodes...)
+	}
 	// The broadcast scatter path: writing each node's id through its
 	// dense local slot list, then pulling published values through
-	// SrcNode, must attribute every inbox slot to the global node on
+	// SrcVal, must attribute every inbox slot to the global node on
 	// the far side of its half-edge.
 	for s := range st.Shards {
 		sh := &st.Shards[s]
@@ -388,9 +408,15 @@ func (st *Topology) Validate() error {
 	for t := range st.Shards {
 		sh := &st.Shards[t]
 		for _, in := range sh.In {
-			src := &st.Shards[in.Src]
+			if len(in.SrcVal) != len(in.Slots) {
+				return fmt.Errorf("shard %d: halo segment from %d has %d source values for %d slots",
+					t, in.Src, len(in.SrcVal), len(in.Slots))
+			}
 			for i, slot := range in.Slots {
-				inboxes[t][slot] = int64(src.Nodes[in.SrcNode[i]])
+				if in.SrcVal[i] < 0 || int(in.SrcVal[i]) >= len(owner) {
+					return fmt.Errorf("shard %d: halo source value %d out of range", t, in.SrcVal[i])
+				}
+				inboxes[t][slot] = int64(owner[in.SrcVal[i]])
 			}
 		}
 	}
@@ -419,12 +445,11 @@ func (st *Topology) Validate() error {
 			for p := 0; p < int(sh.Off[i+1]-sh.Off[i]); p++ {
 				h := halves[ft.Off(int(v))+p]
 				e := sh.BSrc[int(sh.Off[i])+p]
-				src, idx := int(e>>32), int(uint32(e))
-				if src < 0 || src >= k || idx >= len(st.Shards[src].Nodes) {
-					return fmt.Errorf("shard %d: BSrc slot %d points at invalid (%d, %d)",
-						t, int(sh.Off[i])+p, src, idx)
+				if e < 0 || int(e) >= len(owner) {
+					return fmt.Errorf("shard %d: BSrc slot %d points at invalid value %d",
+						t, int(sh.Off[i])+p, e)
 				}
-				if got := st.Shards[src].Nodes[idx]; int(got) != h.To {
+				if got := owner[e]; int(got) != h.To {
 					return fmt.Errorf("shard %d: node %d port %d gathers from node %d, want %d",
 						t, v, p, got, h.To)
 				}
@@ -432,21 +457,13 @@ func (st *Topology) Validate() error {
 		}
 	}
 	// The ghost-cell path: pulling the source node's published value
-	// through SrcNode must attribute every cut slot to the global node
+	// through SrcVal must attribute every cut slot to the global node
 	// on the far side of its half-edge.
 	for t := range st.Shards {
 		sh := &st.Shards[t]
 		for _, in := range sh.In {
-			src := &st.Shards[in.Src]
-			if len(in.SrcNode) != len(in.Slots) {
-				return fmt.Errorf("shard %d: halo segment from %d has %d source nodes for %d slots",
-					t, in.Src, len(in.SrcNode), len(in.Slots))
-			}
 			for i, slot := range in.Slots {
-				if in.SrcNode[i] < 0 || int(in.SrcNode[i]) >= len(src.Nodes) {
-					return fmt.Errorf("shard %d: halo source index %d out of range", t, in.SrcNode[i])
-				}
-				sender := src.Nodes[in.SrcNode[i]]
+				sender := owner[in.SrcVal[i]]
 				// Locate the receiving (node, port) of this slot and
 				// check its far endpoint is the claimed sender.
 				ni := sort.Search(len(sh.Off)-1, func(x int) bool { return sh.Off[x+1] > slot })

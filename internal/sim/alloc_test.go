@@ -78,8 +78,8 @@ func allocsPerRound(t *testing.T, run func(rounds int)) float64 {
 	return (long - short) / extra
 }
 
-// TestEngineAllocsPerRound locks in the flat engine's steady state: once
-// the inbox and worker pool exist, running more rounds must not allocate.
+// TestEngineAllocsPerRound locks in the kernel's steady state: once the
+// inboxes and worker pool exist, running more rounds must not allocate.
 // The seed engine spawned 2×workers goroutines per round (measured ~9
 // allocs/round at 4 workers, broadcast); the rewrite's budget is ~0, with
 // a small tolerance for runtime noise.
@@ -91,8 +91,10 @@ func TestEngineAllocsPerRound(t *testing.T) {
 		budget float64
 	}{
 		{"sequential", Options{Engine: Sequential}, 0.5},
-		{"parallel-2", Options{Engine: Parallel, Workers: 2}, 2},
-		{"parallel-4", Options{Engine: Parallel, Workers: 4}, 2},
+		// The parallel-* rows keep the labels of the worker-pool engine
+		// that Sharded absorbed and run Sharded at the same worker count.
+		{"parallel-2", Options{Engine: Sharded, Workers: 2}, 2},
+		{"parallel-4", Options{Engine: Sharded, Workers: 4}, 2},
 		{"sharded-2", Options{Engine: Sharded, Workers: 2}, 2},
 		{"sharded-4", Options{Engine: Sharded, Workers: 4}, 2},
 		// Tracing must not break the steady state: the per-round and

@@ -31,7 +31,7 @@ func (p *benchProg) Output() any { return p.state }
 // Δ≤6, for each engine.
 func BenchmarkEngineRound(b *testing.B) {
 	g := graph.RandomBoundedDegree(10000, 25000, 6, 1)
-	for _, eng := range []Engine{Sequential, Parallel, Sharded, CSP} {
+	for _, eng := range []Engine{Sequential, Sharded, CSP} {
 		b.Run(eng.String(), func(b *testing.B) {
 			progs := make([]PortProgram, g.N())
 			for v := range progs {

@@ -39,27 +39,17 @@ type runner struct {
 	bcast []BroadcastProgram
 	opt   Options
 
-	// Barrier-engine state, shared by the send/receive phase bodies.
-	ft    *graph.FlatTopology
-	inbox []Message // one slot per half-edge, CSR-indexed (boxed path)
-	round int       // current round; workers read it after the barrier
+	round int // current round; workers read it after the barrier
 
-	// Port-model wire path (see wire.go); codec == nil means boxed.
-	wprogs      []WirePortProgram
-	codec       WireCodec
-	maxW        int         // widest lane of the run, in words
-	boxedRounds bool        // some rounds still travel boxed
-	curW        int         // current round's lane width; 0 = boxed round
-	inboxW      []uint64    // maxW words per half-edge slot
-	outW        [][]uint64  // per-worker lane scratch
-	dst         []int32     // flat engines: half-edge -> inbox slot (ft.WireDst)
-	wireFail    atomic.Bool // a SendWire reported an unencodable value
+	// Port-model wire path (see wire.go); wire.Codec == nil means boxed.
+	wire     WirePlan
+	curW     int         // current round's lane width; 0 = boxed round
+	outW     [][]uint64  // per-worker lane scratch
+	wireFail atomic.Bool // a SendWire reported an unencodable value
 
 	// Broadcast interned path (see wire.go); delivery gathers each
 	// node's messages from the published per-sender values.
 	interned bool
-	vals     []Message   // flat engines: value published by each node
-	src      []int32     // flat engines: inbox slot -> sender (ft.WireSrc)
 	bscratch [][]Message // per-worker gather scratch
 }
 
@@ -84,13 +74,7 @@ func (r *runner) run(rounds int) (Stats, error) {
 	}
 	switch r.opt.Engine {
 	case Sequential:
-		return r.runBarrier(rounds, 1)
-	case Parallel:
-		w := r.opt.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		return r.runBarrier(rounds, w)
+		return r.runSharded(rounds, 1)
 	case Sharded:
 		k := r.opt.Workers
 		if k <= 0 {
@@ -161,42 +145,16 @@ func flatten(top Topology) (*graph.FlatTopology, error) {
 	return graph.Flatten(top)
 }
 
-// counters is one worker's message tallies, padded so adjacent workers
+// counters is one shard's message tallies, padded so adjacent shards
 // do not share a cache line during the send phase.
 type counters struct {
 	msgs, bytes int64
 	_           [48]byte
 }
 
-// sendFlat runs node v's send step and scatters the outgoing messages
-// into the flat inbox.  Slot Off(h.To)+h.RevPort has exactly one writer
-// per round (the half-edge's origin), so concurrent calls for distinct
-// v are race-free.
-func (r *runner) sendFlat(v int, msgs, bytes *int64) {
-	ports := r.ft.Ports(v)
-	if r.isBroadcast() {
-		m := r.bcast[v].Send(r.round)
-		for i := range ports {
-			h := &ports[i]
-			r.inbox[r.ft.Off(h.To)+h.RevPort] = m
-			count(m, msgs, bytes)
-		}
-		return
-	}
-	out := r.port[v].Send(r.round)
-	if len(out) != len(ports) {
-		panic(fmt.Sprintf("sim: node %d sent %d messages, degree %d", v, len(out), len(ports)))
-	}
-	for i := range ports {
-		h := &ports[i]
-		r.inbox[r.ft.Off(h.To)+h.RevPort] = out[i]
-		count(out[i], msgs, bytes)
-	}
-}
-
 // recv runs node v's receive step for the round, scrambling broadcast
-// delivery order when configured.  Shared by the barrier and CSP
-// engines so delivery semantics cannot diverge between them.
+// delivery order when configured.  Shared by the kernel and the CSP
+// engine so delivery semantics cannot diverge between them.
 func (r *runner) recv(v, round int, in []Message) {
 	if r.isBroadcast() {
 		if r.opt.ScrambleSeed != 0 {
@@ -206,103 +164,6 @@ func (r *runner) recv(v, round int, in []Message) {
 		return
 	}
 	r.port[v].Recv(round, in)
-}
-
-// recvFlat runs node v's receive step on its CSR slice of the inbox.
-func (r *runner) recvFlat(v int) {
-	r.recv(v, r.round, r.inbox[r.ft.Off(v):r.ft.Off(v+1)])
-}
-
-// sendWireFlat runs node v's wire-path send step: the program encodes
-// one lane per port into the worker's scratch buffer and the engine
-// scatters each lane to its destination slot as a plain word copy,
-// routed through the topology's precomputed WireDst table.
-func (r *runner) sendWireFlat(v int, out []uint64, msgs, bytes *int64) {
-	w := r.curW
-	base := r.ft.Off(v)
-	deg := r.ft.Off(v+1) - base
-	m, b, ok := r.wprogs[v].SendWire(r.round, out[:deg*w])
-	if !ok {
-		r.wireFail.Store(true)
-		return
-	}
-	*msgs += m
-	*bytes += b
-	// Idle lanes (first word zero) are not scattered; see WirePortProgram.
-	dst := r.dst[base : base+deg]
-	switch w {
-	case 1:
-		for i, d := range dst {
-			if out[i] == 0 {
-				continue
-			}
-			r.inboxW[d] = out[i]
-		}
-	case 2:
-		for i, d := range dst {
-			if out[2*i] == 0 {
-				continue
-			}
-			s := 2 * int(d)
-			r.inboxW[s] = out[2*i]
-			r.inboxW[s+1] = out[2*i+1]
-		}
-	case 3:
-		for i, d := range dst {
-			if out[3*i] == 0 {
-				continue
-			}
-			s := 3 * int(d)
-			r.inboxW[s] = out[3*i]
-			r.inboxW[s+1] = out[3*i+1]
-			r.inboxW[s+2] = out[3*i+2]
-		}
-	default:
-		for i, d := range dst {
-			if out[w*i] == 0 {
-				continue
-			}
-			s := w * int(d)
-			copy(r.inboxW[s:s+w], out[w*i:w*i+w])
-		}
-	}
-}
-
-// recvWireFlat hands node v its contiguous lane slice of the wire inbox.
-func (r *runner) recvWireFlat(v int) {
-	w := r.curW
-	r.wprogs[v].RecvWire(r.round, r.inboxW[w*r.ft.Off(v):w*r.ft.Off(v+1)])
-}
-
-// sendInterned publishes node v's broadcast value in the per-node value
-// table; no per-half-edge scatter happens at all (the receive phase
-// gathers through the static sender of each slot).  The Stats tally is
-// folded per node — deg copies of one message — which is exactly what
-// the boxed path's per-half-edge count() sums to.
-func (r *runner) sendInterned(v int, msgs, bytes *int64) {
-	m := r.bcast[v].Send(r.round)
-	r.vals[v] = m
-	if m == nil {
-		return
-	}
-	deg := int64(r.ft.Deg(v))
-	*msgs += deg
-	if s, ok := m.(Sizer); ok {
-		*bytes += deg * int64(s.WireSize())
-	}
-}
-
-// recvInterned gathers node v's round of messages from the published
-// values through the static WireSrc sender table: the message arriving
-// through port p is whatever v's neighbour on that port published.
-func (r *runner) recvInterned(v int, scratch []Message) {
-	base := r.ft.Off(v)
-	src := r.src[base:r.ft.Off(v+1)]
-	in := scratch[:len(src)]
-	for p, s := range src {
-		in[p] = r.vals[s]
-	}
-	r.recv(v, r.round, in)
 }
 
 // Phase identifiers dispatched through the worker pool.
@@ -370,94 +231,12 @@ func (r *runner) arenaFor() (a *arena, done func()) {
 	return &arena{}, func() {}
 }
 
-// runBarrier is the shared implementation of the Sequential
-// (workers == 1) and Parallel engines: a send phase and a receive phase
-// per round, separated by pool barriers.  Delivery runs on one of three
-// paths: the interned value table (broadcast), flat word lanes (wire
-// port programs, per qualifying round), or the boxed CSR inbox.
-func (r *runner) runBarrier(rounds, workers int) (Stats, error) {
-	n := r.n()
-	if workers > n && n > 0 {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ft, err := flatten(r.top)
-	if err != nil {
-		return Stats{}, err
-	}
-	r.ft = ft
-	r.interned = r.isBroadcast() && !r.opt.NoWire
-	r.wireSetup(rounds)
-	a, done := r.arenaFor()
-	defer done()
-	switch {
-	case r.interned:
-		r.vals = a.grabVals(n)
-		r.src = r.ft.WireSrc()
-		r.bscratch = a.grabScratch(workers, r.ft.MaxDeg())
-	case r.codec != nil:
-		r.inboxW = a.grabWords(r.maxW * r.ft.HalfEdges())
-		r.outW = a.grabOut(workers, r.maxW*r.ft.MaxDeg())
-		r.dst = r.ft.WireDst()
-		if r.boxedRounds {
-			r.inbox = a.grabInbox(r.ft.HalfEdges())
-		}
-	default:
-		r.inbox = a.grabInbox(r.ft.HalfEdges())
-	}
-	counts := make([]counters, workers)
-	bounds := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		bounds[w] = w * n / workers
-	}
-	body := func(w, phase int) {
-		lo, hi := bounds[w], bounds[w+1]
-		if phase == phaseSend {
-			var msgs, bytes int64
-			switch {
-			case r.interned:
-				for v := lo; v < hi; v++ {
-					r.sendInterned(v, &msgs, &bytes)
-				}
-			case r.curW > 0:
-				for v := lo; v < hi; v++ {
-					r.sendWireFlat(v, r.outW[w], &msgs, &bytes)
-				}
-			default:
-				for v := lo; v < hi; v++ {
-					r.sendFlat(v, &msgs, &bytes)
-				}
-			}
-			counts[w].msgs += msgs
-			counts[w].bytes += bytes
-			return
-		}
-		switch {
-		case r.interned:
-			for v := lo; v < hi; v++ {
-				r.recvInterned(v, r.bscratch[w])
-			}
-		case r.curW > 0:
-			for v := lo; v < hi; v++ {
-				r.recvWireFlat(v)
-			}
-		default:
-			for v := lo; v < hi; v++ {
-				r.recvFlat(v)
-			}
-		}
-	}
-	return r.runPhases(rounds, workers, body, counts)
-}
-
-// runPhases drives the shared round loop of the barrier-family engines
-// (Sequential, Parallel, Sharded): a send phase and a receive phase per
-// round, dispatched over a persistent worker pool (or run inline when
+// runPhases drives the barrier round loop of the Sequential and
+// Sharded engines: a send phase and a receive phase per round,
+// dispatched over a persistent worker pool (or run inline when
 // workers == 1), with optional per-round tracing, context cancellation,
 // a round budget, and an observer — all evaluated at the round barrier.
-// counts holds one per-worker tally that is summed into the Stats and,
+// counts holds one tally per shard that is summed into the Stats and,
 // when an observer is set, fanned back in after every round.
 func (r *runner) runPhases(rounds, workers int, body func(w, phase int), counts []counters) (Stats, error) {
 	var pool *workerPool
@@ -512,10 +291,10 @@ func (r *runner) runPhases(rounds, workers int, body func(w, phase int), counts 
 			break
 		}
 		r.round = round
-		if r.codec != nil {
+		if r.wire.Codec != nil {
 			// The round's lane width is published to the workers by the
 			// same dispatch barrier that publishes the round number.
-			r.curW = r.codec.WireWords(round)
+			r.curW = r.wire.Codec.WireWords(round)
 		}
 		var t0 time.Time
 		var m0 uint64
@@ -533,7 +312,7 @@ func (r *runner) runPhases(rounds, workers int, body func(w, phase int), counts 
 		if trace {
 			sendNS = time.Since(t0).Nanoseconds()
 		}
-		if r.codec != nil && r.wireFail.Load() {
+		if r.wire.Codec != nil && r.wireFail.Load() {
 			// A lane could not hold its value; receivers would decode
 			// garbage, so stop at the phase barrier.  Program state is
 			// unusable — the caller rebuilds and reruns boxed.

@@ -7,41 +7,41 @@ import (
 	"anoncover/internal/shard"
 )
 
-// runSharded executes the partitioned engine: the topology is split
-// into k degree-balanced shards (internal/shard), pinned round-robin
-// onto a persistent pool of min(k, NumCPU) workers — one worker per
-// shard when the hardware has the cores, and a stable multi-shard
-// assignment (worker w owns shards w, w+p, ...) when it does not, so
-// oversharding degrades to locality-ordered execution instead of OS
-// thread thrash.  During the send phase a worker steps only its
-// shards' nodes, scattering messages through each shard's precomputed
-// route table — same-shard messages go straight into the shard's
-// compact local inbox, cut-edge messages into fixed-slot halo-out
-// buffers with exactly one writer each.  At the phase barrier the halo
-// buffers are published; the receive phase starts by draining each
-// shard's incoming halo segments into its inbox and then steps its
-// nodes' receive handlers.  Halo buffers are double-buffered by round
-// parity (see shard.Topology).
+// runSharded is the in-process round kernel behind both barrier
+// engines: Sequential runs it with k = 1, Sharded with k = Workers.
+// The topology is split into k degree-balanced shards
+// (internal/shard), pinned round-robin onto a persistent pool of
+// min(k, NumCPU) workers — one worker per shard when the hardware has
+// the cores, and a stable multi-shard assignment (worker w owns shards
+// w, w+p, ...) when it does not, so oversharding degrades to
+// locality-ordered execution instead of OS thread thrash.  During the
+// send phase a worker steps only its shards' nodes, scattering
+// messages through each shard's precomputed route table — same-shard
+// messages go straight into the shard's compact local inbox, cut-edge
+// messages into fixed-slot halo-out buffers with exactly one writer
+// each.  At the phase barrier the halo buffers are published; the
+// receive phase starts by draining each shard's incoming halo segments
+// into its inbox and then steps its nodes' receive handlers.  Halo
+// buffers are double-buffered by round parity (see shard.Topology).
+// With one shard there is no cut, so every message goes straight into
+// the one inbox and the drains are empty loops.
 //
-// Delivery runs on the same three paths as the flat engines (wire.go):
+// Delivery runs on three paths (wire.go):
 //
 //   - Wire port rounds scatter []uint64 word lanes through the same
 //     route tables, and the halo exchange becomes plain word copies
 //     into lane-striped halo buffers.
-//   - Interned broadcast rounds publish one value per node (the bvals
-//     tables that the ghost-cell pulls already used) and the receive
-//     phase gathers every slot's message through the static BSrc
-//     sender table — no per-slot scatter and no drain loop at all.
-//   - Boxed rounds keep the original Message inbox, BRoute scatter and
+//   - Interned broadcast rounds publish one value per node into the
+//     bvals table (one block per shard at its ValBase, which the
+//     ghost-cell pulls read too) and the receive phase gathers every
+//     slot's message through the static BSrc sender table — no
+//     per-slot scatter and no drain loop at all.
+//   - Boxed rounds keep the Message inboxes, BRoute scatter and
 //     halo/ghost-cell drains.
 //
 // Sharding is an execution detail only: outputs and Stats are
-// bit-identical to the Sequential reference engine on every program,
-// every worker count and every delivery path (equiv_test.go pins this
-// down).  The route table is also a single-thread win — scattering
-// through a 4-byte route entry replaces the barrier engines'
-// per-half-edge Half load plus offset lookup — so the engine pays for
-// itself even before real parallelism.
+// bit-identical to the one-shard reference on every program, every
+// shard count and every delivery path (equiv_test.go pins this down).
 func (r *runner) runSharded(rounds, k int) (Stats, error) {
 	var st *shard.Topology
 	if pre, ok := r.top.(*shard.Topology); ok && pre.K() == k {
@@ -49,14 +49,12 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 		// reused, amortizing partitioning across runs the way a
 		// pre-flattened *graph.FlatTopology amortizes CSR construction.
 		st = pre
-		r.ft = pre.Flat()
 	} else {
 		ft, err := flatten(r.top)
 		if err != nil {
 			return Stats{}, err
 		}
-		r.ft = ft
-		st = shard.BuildK(r.ft, k)
+		st = shard.BuildK(ft, k)
 	}
 	k = st.K() // the partitioner clamps k for tiny topologies
 
@@ -85,25 +83,26 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 	// over the same topology.
 	bcast := r.isBroadcast()
 	r.interned = bcast && !r.opt.NoWire
-	r.wireSetup(rounds)
+	r.wire = PlanWire(r.port, rounds, r.opt.NoWire)
 	a, done := r.arenaFor()
 	defer done()
 	var inboxes [][]Message
-	var halo, bvals [2][][]Message
+	var halo [2][][]Message
+	var bvals [2][]Message
 	var inboxesW [][]uint64
 	var haloW [2][][]uint64
 	if bcast {
 		inboxes, _, bvals = a.grabSharded(st, true, !r.interned)
 		if r.interned {
-			r.bscratch = a.grabScratch(workers, r.ft.MaxDeg())
+			r.bscratch = a.grabScratch(workers, st.Flat().MaxDeg())
 		}
 	} else {
-		if r.codec == nil || r.boxedRounds {
+		if r.wire.Codec == nil || r.wire.BoxedRounds {
 			inboxes, halo, _ = a.grabSharded(st, false, true)
 		}
-		if r.codec != nil {
-			inboxesW, haloW = a.grabShardedWords(st, r.maxW)
-			r.outW = a.grabOut(workers, r.maxW*r.ft.MaxDeg())
+		if r.wire.Codec != nil {
+			inboxesW, haloW = a.grabShardedWords(st, r.wire.MaxW)
+			r.outW = a.grabOut(workers, r.wire.MaxW*st.Flat().MaxDeg())
 		}
 	}
 	counts := make([]counters, k)
@@ -116,7 +115,7 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 			case r.interned:
 				// Publish each node's value once; receivers gather it
 				// through the static sender table after the barrier.
-				bval := bvals[r.round&1][s]
+				bval := bvals[r.round&1][sh.ValBase:]
 				for i, v := range sh.Nodes {
 					m := r.bcast[v].Send(r.round)
 					bval[i] = m
@@ -130,7 +129,7 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 				}
 			case bcast:
 				inbox := inboxes[s]
-				bval := bvals[r.round&1][s]
+				bval := bvals[r.round&1][sh.ValBase:]
 				broute := sh.BRoute
 				for i, v := range sh.Nodes {
 					m := r.bcast[v].Send(r.round)
@@ -165,7 +164,7 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 					base := sh.Off[i]
 					deg := int(sh.Off[i+1] - base)
 					lanes := out[:deg*wid]
-					m, b, ok := r.wprogs[v].SendWire(r.round, lanes)
+					m, b, ok := r.wire.Progs[v].SendWire(r.round, lanes)
 					if !ok {
 						r.wireFail.Store(true)
 						return
@@ -258,30 +257,28 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 		// Receive phase.
 		switch {
 		case r.interned:
-			// Gather every slot's message straight from the publishing
-			// shard's value table; BSrc already routes cut edges, so
-			// there is no halo drain.
-			gen := bvals[r.round&1]
+			// Gather every slot's message straight from the published
+			// value table; BSrc already routes cut edges, so there is
+			// no halo drain.
+			vals := bvals[r.round&1]
 			scratch := r.bscratch[w]
 			for i, v := range sh.Nodes {
 				base := int(sh.Off[i])
-				deg := int(sh.Off[i+1]) - base
-				in := scratch[:deg]
-				for p := 0; p < deg; p++ {
-					e := sh.BSrc[base+p]
-					in[p] = gen[e>>32][uint32(e)]
+				src := sh.BSrc[base:sh.Off[i+1]]
+				in := scratch[:len(src)]
+				for p, e := range src {
+					in[p] = vals[e]
 				}
 				r.recv(int(v), r.round, in)
 			}
 		case bcast:
 			inbox := inboxes[s]
-			gen := bvals[r.round&1]
+			vals := bvals[r.round&1]
 			for hi := range sh.In {
 				in := &sh.In[hi]
-				src := gen[in.Src]
-				srcNode := in.SrcNode
+				srcVal := in.SrcVal
 				for i, slot := range in.Slots {
-					inbox[slot] = src[srcNode[i]]
+					inbox[slot] = vals[srcVal[i]]
 				}
 			}
 			for i, v := range sh.Nodes {
@@ -316,7 +313,7 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 				}
 			}
 			for i, v := range sh.Nodes {
-				r.wprogs[v].RecvWire(r.round, inboxW[wid*int(sh.Off[i]):wid*int(sh.Off[i+1])])
+				r.wire.Progs[v].RecvWire(r.round, inboxW[wid*int(sh.Off[i]):wid*int(sh.Off[i+1])])
 			}
 		default:
 			inbox := inboxes[s]

@@ -20,8 +20,8 @@ import (
 
 // This file is the cross-engine equivalence suite: for every algorithm
 // package in the repo it asserts that the Sequential reference engine,
-// the Parallel engine at several pool sizes, the Sharded
-// partitioned-graph engine at several shard counts, and the CSP engine
+// (the round kernel on one shard), the Sharded engine (the same kernel)
+// at several shard counts, the Distributed engine, and the CSP engine
 // produce bit-identical outputs and identical message/byte statistics,
 // across multiple graph families and broadcast scramble seeds.  It is the
 // contract that lets the engines be rewritten for speed (as PR 1 did)
@@ -49,9 +49,13 @@ func engineVariants() []engineVariant {
 	return []engineVariant{
 		{"sequential", sim.Sequential, 0, false, nil},
 		{"sequential-boxed", sim.Sequential, 0, true, nil},
-		{"parallel-2", sim.Parallel, 2, false, nil},
-		{"parallel-2-boxed", sim.Parallel, 2, true, nil},
-		{fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), sim.Parallel, runtime.GOMAXPROCS(0), false, nil},
+		// The parallel-* rows keep the labels of the worker-pool engine
+		// that Sharded absorbed, so the suite's subtest names stay
+		// stable; each runs Sharded at that worker count (the meaning of
+		// the public EngineParallel alias), wire and boxed.
+		{"parallel-2", sim.Sharded, 2, false, nil},
+		{"parallel-2-boxed", sim.Sharded, 2, true, nil},
+		{fmt.Sprintf("parallel-%d", runtime.GOMAXPROCS(0)), sim.Sharded, runtime.GOMAXPROCS(0), false, nil},
 		{"sharded-2", sim.Sharded, 2, false, nil},
 		{"sharded-4", sim.Sharded, 4, false, nil},
 		{"sharded-4-boxed", sim.Sharded, 4, true, nil},
@@ -256,17 +260,86 @@ func TestEquivFlatTopologyAsInput(t *testing.T) {
 				return outs, stats
 			}
 			refOut, refStats := run(g, engineVariant{engine: sim.Sequential})
+			check := func(t *testing.T, top sim.Topology, ev engineVariant) {
+				gotOut, gotStats := run(top, ev)
+				mustEqualStats(t, refStats, gotStats)
+				for v := range refOut {
+					if fmt.Sprintf("%v", gotOut[v]) != fmt.Sprintf("%v", refOut[v]) {
+						t.Fatalf("node %d output diverges on %T input", v, top)
+					}
+				}
+			}
 			flat := g.Flat()
 			for _, ev := range engineVariants() {
-				t.Run(ev.name, func(t *testing.T) {
-					gotOut, gotStats := run(flat, ev)
-					mustEqualStats(t, refStats, gotStats)
-					for v := range refOut {
-						if fmt.Sprintf("%v", gotOut[v]) != fmt.Sprintf("%v", refOut[v]) {
-							t.Fatalf("node %d output diverges on flat topology", v)
+				t.Run(ev.name, func(t *testing.T) { check(t, flat, ev) })
+			}
+			// Compiled sessions hand Sequential a pre-built one-shard
+			// view; the kernel must run on it as is.
+			view := shard.BuildK(flat, 1)
+			for _, ev := range engineVariants()[:2] {
+				t.Run("one-shard-view/"+ev.name, func(t *testing.T) { check(t, view, ev) })
+			}
+		})
+	}
+}
+
+// TestEquivDegenerateTopologies: the empty graph and a single isolated
+// node have no half-edges, so the kernel's one shard has nothing to
+// route.  Sequential must still run the full schedule on every input
+// form — graph, flat topology, one-shard view — on both delivery paths,
+// matching the CSP oracle.
+func TestEquivDegenerateTopologies(t *testing.T) {
+	single := graph.NewBuilder(1).Build()
+	single.SetWeight(0, 7)
+	for name, g := range map[string]*graph.G{
+		"empty":       graph.NewBuilder(0).Build(),
+		"single-node": single,
+	} {
+		t.Run(name, func(t *testing.T) {
+			flat := g.Flat()
+			inputs := []struct {
+				name string
+				top  sim.Topology
+			}{{"graph", g}, {"flat", flat}, {"one-shard-view", shard.BuildK(flat, 1)}}
+			run := func(top sim.Topology, opt sim.Options) ([]uint64, sim.Stats) {
+				progs := make([]sim.PortProgram, g.N())
+				nodes := make([]*laneProg, g.N())
+				for v := range progs {
+					nodes[v] = &laneProg{deg: g.Deg(v), state: uint64(v) + 1}
+					progs[v] = nodes[v]
+				}
+				stats, err := sim.RunPort(top, progs, 7, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs := make([]uint64, g.N())
+				for v := range outs {
+					outs[v] = nodes[v].state
+				}
+				return outs, stats
+			}
+			refOut, refStats := run(g, sim.Options{Engine: sim.CSP})
+			if refStats.Rounds != 7 {
+				t.Fatalf("CSP oracle ran %d rounds, want 7", refStats.Rounds)
+			}
+			refVC := edgepack.MustRun(g, edgepack.Options{Engine: sim.CSP})
+			for _, in := range inputs {
+				for _, ev := range engineVariants()[:2] {
+					t.Run(in.name+"/"+ev.name, func(t *testing.T) {
+						out, stats := run(in.top, sim.Options{Engine: ev.engine, NoWire: ev.noWire})
+						mustEqualStats(t, refStats, stats)
+						for v := range refOut {
+							if out[v] != refOut[v] {
+								t.Fatalf("node %d state %x != %x", v, out[v], refOut[v])
+							}
 						}
-					}
-				})
+						got := edgepack.MustRun(g, edgepack.Options{
+							Engine: ev.engine, NoWire: ev.noWire, Topology: in.top,
+						})
+						mustEqualCover(t, refVC.Cover, got.Cover)
+						mustEqualStats(t, refVC.Stats, got.Stats)
+					})
+				}
 			}
 		})
 	}

@@ -107,7 +107,7 @@ func TestEngineFuzzPortModel(t *testing.T) {
 		}
 		ref := run(Options{Engine: Sequential})
 		for _, opt := range []Options{
-			{Engine: Parallel},
+			{Engine: Sharded},
 			{Engine: CSP},
 			{Engine: Sharded, Workers: 2},
 			{Engine: Sharded, Workers: 5},
@@ -152,7 +152,7 @@ func TestEngineFuzzBroadcast(t *testing.T) {
 			return out
 		}
 		ref := run(Sequential, 0)
-		for _, eng := range []Engine{Sequential, Parallel, Sharded, CSP} {
+		for _, eng := range []Engine{Sequential, Sharded, CSP} {
 			for _, scr := range []int64{0, 1, 999} {
 				got := run(eng, scr)
 				for v := range ref {

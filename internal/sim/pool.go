@@ -105,62 +105,21 @@ func (p *Pool) Close() {
 // The word buffers of the wire path hold no pointers and are skipped by
 // the release scrub entirely.
 type arena struct {
-	// Barrier engines: the flat CSR inbox (boxed path), the word-lane
-	// inbox (wire path) and the interned broadcast value table.
-	inbox  []Message
-	words  []uint64
-	vals   []Message
 	out    [][]uint64  // per-worker wire lane scratch
 	gather [][]Message // per-worker interned gather scratch
 
-	// Sharded engine, valid only for the (topology, model, shape)
-	// triple it was last shaped for.
+	// Per-shard buffers, valid only for the (topology, model, shape)
+	// triple they were last shaped for.
 	st       *shard.Topology
 	bcast    bool
 	hasInbox bool
 	inboxes  [][]Message
 	halo     [2][][]Message
-	bvals    [2][][]Message
+	bvals    [2][]Message    // broadcast value table, shard blocks at ValBase
 	stW      *shard.Topology // wire-path buffers' topology
 	stWords  int             // ... and their per-slot word capacity
 	inboxesW [][]uint64
 	haloW    [2][][]uint64
-}
-
-// grabInbox returns a flat inbox of exactly n slots, reusing the
-// arena's buffer when it is large enough.
-func (a *arena) grabInbox(n int) []Message {
-	if cap(a.inbox) >= n {
-		a.inbox = a.inbox[:n]
-	} else {
-		a.inbox = make([]Message, n)
-	}
-	return a.inbox
-}
-
-// grabWords returns a word-lane buffer of exactly n words, zeroed: the
-// idle-lane convention (WirePortProgram) distinguishes live lanes from
-// stale slots by round stamps, and a recycled buffer could otherwise
-// replay a previous run's stamps at the same round numbers.
-func (a *arena) grabWords(n int) []uint64 {
-	if cap(a.words) >= n {
-		a.words = a.words[:n]
-		clear(a.words)
-	} else {
-		a.words = make([]uint64, n)
-	}
-	return a.words
-}
-
-// grabVals returns the interned broadcast value table (one slot per
-// node).
-func (a *arena) grabVals(n int) []Message {
-	if cap(a.vals) >= n {
-		a.vals = a.vals[:n]
-	} else {
-		a.vals = make([]Message, n)
-	}
-	return a.vals
 }
 
 // grabOut returns per-worker lane scratch, each of size words.
@@ -198,7 +157,7 @@ func (a *arena) grabScratch(workers, deg int) [][]Message {
 // last shaped for the same topology and model.  withInbox is false for
 // the interned broadcast path, which delivers straight out of the
 // published value tables and needs no per-shard inboxes at all.
-func (a *arena) grabSharded(st *shard.Topology, bcast, withInbox bool) (inboxes [][]Message, halo, bvals [2][][]Message) {
+func (a *arena) grabSharded(st *shard.Topology, bcast, withInbox bool) (inboxes [][]Message, halo [2][][]Message, bvals [2][]Message) {
 	if a.st == st && a.bcast == bcast && (a.hasInbox || !withInbox) {
 		return a.inboxes, a.halo, a.bvals
 	}
@@ -207,17 +166,18 @@ func (a *arena) grabSharded(st *shard.Topology, bcast, withInbox bool) (inboxes 
 	a.inboxes = make([][]Message, k)
 	for gen := 0; gen < 2; gen++ {
 		a.halo[gen] = make([][]Message, k)
-		a.bvals[gen] = make([][]Message, k)
+		a.bvals[gen] = nil
+		if bcast {
+			a.bvals[gen] = make([]Message, st.N())
+		}
 	}
 	for s := 0; s < k; s++ {
 		sh := &st.Shards[s]
 		if withInbox {
 			a.inboxes[s] = make([]Message, sh.InboxLen())
 		}
-		for gen := 0; gen < 2; gen++ {
-			if bcast {
-				a.bvals[gen][s] = make([]Message, len(sh.Nodes))
-			} else {
+		if !bcast {
+			for gen := 0; gen < 2; gen++ {
 				a.halo[gen][s] = make([]Message, sh.HaloOut)
 			}
 		}
@@ -227,7 +187,10 @@ func (a *arena) grabSharded(st *shard.Topology, bcast, withInbox bool) (inboxes 
 
 // grabShardedWords returns the per-shard word-lane inboxes and
 // double-buffered halo-out word buffers, sized for lanes of maxW words
-// per slot and zeroed for the same reason grabWords zeroes.
+// per slot and zeroed: the idle-lane convention (WirePortProgram)
+// distinguishes live lanes from stale slots by round stamps, and a
+// recycled buffer could otherwise replay a previous run's stamps at the
+// same round numbers.
 func (a *arena) grabShardedWords(st *shard.Topology, maxW int) (inboxesW [][]uint64, haloW [2][][]uint64) {
 	if a.stW == st && a.stWords >= maxW {
 		for _, b := range a.inboxesW {
@@ -260,8 +223,6 @@ func (a *arena) grabShardedWords(st *shard.Topology, maxW int) (inboxesW [][]uin
 // finished run's payloads (broadcast histories can be large) alive.
 // Word buffers carry no references and are left as they are.
 func (a *arena) scrub() {
-	clearMsgs(a.inbox)
-	clearMsgs(a.vals)
 	for _, in := range a.gather {
 		clearMsgs(in)
 	}
@@ -272,9 +233,7 @@ func (a *arena) scrub() {
 		for _, b := range a.halo[gen] {
 			clearMsgs(b)
 		}
-		for _, b := range a.bvals[gen] {
-			clearMsgs(b)
-		}
+		clearMsgs(a.bvals[gen])
 	}
 }
 

@@ -16,55 +16,52 @@
 //
 // Programs are deterministic state machines that see only their own
 // degree, weight, node kind and the global parameters — never node
-// identifiers or n.  Four engines execute them: a sequential reference
-// engine, a data-parallel engine that splits nodes across a persistent
-// worker pool (goroutines started once per run, re-dispatched each phase
-// over per-worker channels), a sharded engine that runs a degree-balanced
-// graph partition (internal/shard) with one pinned worker per shard and
-// halo exchange on the cut edges, and a CSP engine that runs one
-// goroutine per node with channel-per-edge lockstep (kept as a semantic
-// reference and test oracle).
+// identifiers or n.  One in-process round kernel executes them: the
+// topology is split into degree-balanced shards (internal/shard), each
+// with a compact local inbox and a precomputed route table, and
+// cut-edge messages cross through double-buffered halo buffers at the
+// phase barrier.  The Sequential engine is that kernel with one shard
+// and one worker — the reference every other engine is held to — and
+// the Sharded engine runs it with k shards on a persistent worker pool.
+// Two further engines share the contract but not the kernel: the
+// Distributed engine runs the shards in separate processes
+// (internal/dist), and the CSP engine runs one goroutine per node with
+// channel-per-edge lockstep, kept as an independent semantic reference
+// and test oracle.
 //
-// The Sequential and Parallel engines deliver messages through a flat
-// inbox: one contiguous buffer indexed by per-node CSR offsets
-// (graph.FlatTopology), so the message arriving at node v through port p
-// lives at slot Off(v)+p.  The Sharded engine splits that inbox into one
-// compact inbox per shard plus double-buffered halo buffers for the cut
-// edges, routed through precomputed per-half-edge tables.  Both *graph.G
-// and *bipartite.Instance are flattened through the same compact path,
-// and a pre-built *graph.FlatTopology (or *shard.Topology, which
-// additionally amortizes partitioning) may be passed as the Topology
-// directly to amortize flattening across runs.  The steady state of a
-// run is allocation-free.
+// Both *graph.G and *bipartite.Instance are flattened into a CSR view
+// (graph.FlatTopology) and partitioned per run; a pre-built
+// *shard.Topology whose shard count matches the run is used directly,
+// which is how compiled solver sessions amortize flattening and
+// partitioning across runs.  The steady state of a run is
+// allocation-free.
 //
-// What moves through those slots depends on the delivery path.  By
-// default the barrier engines take the unboxed wire path (wire.go): a
-// port program that implements WirePortProgram declares a fixed
-// per-round lane width in 8-byte words and the inbox becomes a flat
-// []uint64 — sends encode into word lanes, scatters and halo exchange
-// are plain word copies, and receives decode the node's contiguous
-// lane slice, with no interface values on the hot path.  Rounds whose
-// payloads do not fit a fixed width (a program returns lane width 0
-// for them) travel through the boxed []Message inbox instead, so a
-// program can keep tight lanes for its dominant rounds and box only
-// the fat ones.  Broadcast programs need no opt-in: each node's one
-// value per round is interned in a per-node table and receivers gather
-// it through the topology's static sender structure, eliminating the
-// per-half-edge scatter entirely.  Options.NoWire forces the fully
-// boxed path; a wire value that outgrows its lane aborts with
-// ErrWireOverflow and the algorithm packages rerun boxed, so results
-// never depend on the path taken.
+// What moves through the inboxes depends on the delivery path.  By
+// default the kernel takes the unboxed wire path (wire.go): a port
+// program that implements WirePortProgram declares a fixed per-round
+// lane width in 8-byte words and the inboxes become flat []uint64 —
+// sends encode into word lanes, scatters and halo exchange are plain
+// word copies, and receives decode the node's contiguous lane slice,
+// with no interface values on the hot path.  Rounds whose payloads do
+// not fit a fixed width (a program returns lane width 0 for them)
+// travel through the boxed []Message inboxes instead, so a program can
+// keep tight lanes for its dominant rounds and box only the fat ones.
+// Broadcast programs need no opt-in: each node's one value per round
+// is interned in a per-shard table and receivers gather it through the
+// topology's static sender table, eliminating the per-half-edge
+// scatter entirely.  Options.NoWire forces the fully boxed path; a
+// wire value that outgrows its lane aborts with ErrWireOverflow and
+// the algorithm packages rerun boxed, so results never depend on the
+// path taken.
 //
 // Sharding is an execution detail only: observable behaviour — outputs
 // and Stats — must stay bit-identical to the synchronous port-numbering
-// semantics of the sequential reference engine, whatever the partition.
+// semantics of the one-shard reference, whatever the partition.
 //
 // All engines produce bit-identical outputs and identical
 // Messages/Bytes statistics, which equiv_test.go locks down across every
 // algorithm package in the repo.  Options.Trace additionally records
-// per-round wall time and allocation counts (barrier engines only);
-// `go run ./cmd/experiments -exp bench` uses it to regenerate the
-// BENCH_1.json scenario matrix.
+// per-round wall time and allocation counts (kernel engines only).
 package sim
 
 import (
@@ -154,13 +151,9 @@ var (
 type Engine int
 
 const (
-	// Sequential is the reference engine: one thread, nodes stepped in
-	// index order.
+	// Sequential is the reference engine: the round kernel with one
+	// shard stepped by one worker, nodes in index order.
 	Sequential Engine = iota
-	// Parallel shards nodes into contiguous index ranges across a
-	// worker pool with a barrier per phase (send, then receive), all
-	// workers sharing the one global inbox.
-	Parallel
 	// CSP runs one goroutine per node; rounds emerge from cap-1
 	// channel communication with no global barrier.  It allocates two
 	// channels per edge on every run and is retained as a semantic
@@ -168,11 +161,11 @@ const (
 	// the bench matrix excludes it.
 	CSP
 	// Sharded partitions the topology into degree-balanced shards
-	// (internal/shard), one pinned worker per shard, each stepping its
-	// nodes against a compact local inbox via a precomputed route
-	// table; cut-edge messages cross through double-buffered halo
-	// buffers flushed at the phase barrier.  Options.Workers sets the
-	// shard count.
+	// (internal/shard) and runs the round kernel with one pinned worker
+	// per shard, each stepping its nodes against a compact local inbox
+	// via a precomputed route table; cut-edge messages cross through
+	// double-buffered halo buffers flushed at the phase barrier.
+	// Options.Workers sets the shard count.
 	Sharded
 	// Distributed runs the sharded execution plan across processes:
 	// each shard is owned by a worker that executes rounds locally and
@@ -189,8 +182,6 @@ func (e Engine) String() string {
 	switch e {
 	case Sequential:
 		return "sequential"
-	case Parallel:
-		return "parallel"
 	case CSP:
 		return "csp"
 	case Sharded:
@@ -232,8 +223,7 @@ var ErrRoundBudget = errors.New("sim: round budget exhausted before the schedule
 // Options configure a run.
 type Options struct {
 	Engine Engine
-	// Workers is the Parallel engine's pool size and the Sharded
-	// engine's shard count; 0 means GOMAXPROCS.
+	// Workers is the Sharded engine's shard count; 0 means GOMAXPROCS.
 	Workers int
 	// ScrambleSeed, when non-zero, shuffles broadcast delivery order
 	// deterministically per (node, round).  Correct broadcast programs

@@ -10,7 +10,7 @@ import (
 	"anoncover/internal/graph"
 )
 
-var allEngines = []Engine{Sequential, Parallel, CSP}
+var allEngines = []Engine{Sequential, Sharded, CSP}
 
 // echoProg sends a fixed token through every port each round and records
 // what arrived through each port.  It is test-side code, so giving it a
@@ -253,7 +253,7 @@ func mkEchoProgs(g *graph.G) []PortProgram {
 
 func TestObserverHook(t *testing.T) {
 	g := graph.Cycle(4) // 8 deliveries per round
-	for _, eng := range []Engine{Sequential, Parallel, Sharded} {
+	for _, eng := range []Engine{Sequential, Sharded} {
 		var seen []RoundInfo
 		stats, err := RunPort(g, mkEchoProgs(g), 3, Options{Engine: eng, Workers: 2,
 			Observer: func(ri RoundInfo) { seen = append(seen, ri) }})
@@ -302,7 +302,7 @@ func TestBarrierOnlyOptionsErrorOnCSP(t *testing.T) {
 
 func TestContextCancelStopsRun(t *testing.T) {
 	g := graph.Cycle(6)
-	for _, eng := range []Engine{Sequential, Parallel, Sharded} {
+	for _, eng := range []Engine{Sequential, Sharded} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var fired int
 		stats, err := RunPort(g, mkEchoProgs(g), 10, Options{Engine: eng, Context: ctx,
@@ -325,7 +325,7 @@ func TestContextCancelStopsRun(t *testing.T) {
 
 func TestRoundBudget(t *testing.T) {
 	g := graph.Cycle(5)
-	for _, eng := range []Engine{Sequential, Parallel, Sharded} {
+	for _, eng := range []Engine{Sequential, Sharded} {
 		stats, err := RunPort(g, mkEchoProgs(g), 10, Options{Engine: eng, RoundBudget: 4})
 		if err != ErrRoundBudget {
 			t.Fatalf("engine %v: err = %v, want ErrRoundBudget", eng, err)
@@ -343,7 +343,7 @@ func TestRoundBudget(t *testing.T) {
 
 func TestTraceRecordsPerRound(t *testing.T) {
 	g := graph.Cycle(8)
-	for _, eng := range []Engine{Sequential, Parallel} {
+	for _, eng := range []Engine{Sequential, Sharded} {
 		progs := make([]BroadcastProgram, g.N())
 		for v := range progs {
 			progs[v] = &sumProg{}

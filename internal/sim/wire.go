@@ -3,30 +3,30 @@ package sim
 import "errors"
 
 // This file defines the unboxed wire path: a delivery mode in which the
-// barrier engines move fixed-width message payloads as flat lanes of
+// round kernel moves fixed-width message payloads as flat lanes of
 // 8-byte words instead of boxed Message values.
 //
 // # Port model
 //
 // A program opts in by implementing WirePortProgram.  Its WireCodec
-// half declares, per round, a lane width in words; the engines then
-// size one flat []uint64 inbox (width × half-edges for the round's
-// widest layout) and the whole round becomes a contiguous word-copy
-// problem: SendWire encodes a node's outgoing messages into one lane
-// per port, the engine scatters each lane to slot Off(to)+revPort of
-// the inbox (or, in the sharded engine, through the precomputed route
-// table into a word-lane halo buffer), and RecvWire reads the node's
-// CSR slice of the inbox directly — no interface headers, no pointer
-// chasing, nothing for the garbage collector to trace.
+// half declares, per round, a lane width in words; the kernel then
+// sizes one []uint64 inbox per shard (width × the shard's half-edges,
+// for the run's widest round) and the whole round becomes a contiguous
+// word-copy problem: SendWire encodes a node's outgoing messages into
+// one lane per port, the kernel scatters each lane through the shard's
+// route table into the shard's word inbox or a lane-striped halo
+// buffer, and RecvWire reads the node's contiguous lane slice directly
+// — no interface headers, no pointer chasing, nothing for the garbage
+// collector to trace.
 //
 // A width of 0 for a round means "this round's payloads do not fit a
-// fixed width" and the engines deliver that round through the boxed
+// fixed width" and the kernel delivers that round through the boxed
 // Send/Recv path instead — programs with a few fat rounds (edgepack's
 // Cole–Vishkin colours) keep tight lanes for the rounds that dominate.
 // A program whose every round reports 0 simply runs fully boxed.
 //
 // The wire path is an execution detail in exactly the sense sharding
-// is: outputs and Stats must be bit-identical to the boxed engines, and
+// is: outputs and Stats must be bit-identical to the boxed path, and
 // the equivalence suite pins it (TestEquiv*, TestWireStatsParity).
 // Options.NoWire forces the boxed path for any program, which is how
 // the tests get their reference rows.
@@ -34,15 +34,14 @@ import "errors"
 // # Broadcast model
 //
 // Broadcast programs need no opt-in: every node publishes exactly one
-// value per round, so the engines intern that value once in a per-node
-// table and deliver lanes of *senders*, not payloads.  The sender of
-// every inbox slot is a static property of the topology (the far
-// endpoint of the slot's half-edge), so the per-half-edge scatter
+// value per round, so the kernel interns that value once in a per-shard
+// value table and delivers lanes of *senders*, not payloads.  The
+// sender of every inbox slot is a static property of the topology (the
+// far endpoint of the slot's half-edge), so the per-half-edge scatter
 // disappears entirely: the send phase writes n values, and the receive
-// phase gathers each node's messages through graph.Half.To (flat
-// engines) or the shard.Shard.BSrc table (sharded engine, replacing
-// the ghost-cell halo drain).  Options.NoWire restores the scattering
-// boxed path here too.
+// phase gathers each node's messages through the shard.Shard.BSrc
+// table, which replaces the ghost-cell halo drain as well.
+// Options.NoWire restores the scattering boxed path here too.
 
 // ErrWireOverflow is returned by a run that chose the wire path and
 // then met a value its declared lane width cannot hold (for example a
@@ -102,44 +101,45 @@ type WirePortProgram interface {
 	RecvWire(r int, in []uint64)
 }
 
-// wireSetup inspects the run's programs and schedule and fills the
-// runner's wire-path state: the per-node WirePortProgram view, the
-// codec, the widest lane, and whether any round still travels boxed.
-// It leaves the runner in boxed mode when the program set does not
-// qualify or NoWire is set.
-func (r *runner) wireSetup(rounds int) {
-	r.curW = 0
-	if r.opt.NoWire || r.port == nil {
-		return
+// WirePlan is a port-model run's delivery-path decision: which rounds
+// travel as word lanes, how wide the lanes are, and whether any round
+// still travels boxed.  The in-process kernel and the distributed
+// shard executor both take it from PlanWire, so every engine reaches
+// the same verdict for the same programs and schedule.
+type WirePlan struct {
+	Progs       []WirePortProgram // per-node wire view; nil means fully boxed
+	Codec       WireCodec         // lane widths per round; nil means fully boxed
+	MaxW        int               // widest lane of the run, in words
+	BoxedRounds bool              // some rounds still travel boxed
+}
+
+// PlanWire inspects a run's programs and schedule: the wire path is
+// taken only when every program implements WirePortProgram, NoWire is
+// off, and the codec declares a nonzero width for at least one round.
+// Widths come from the first program's codec (see WireCodec).
+// Broadcast runs pass nil programs and get the boxed plan.
+func PlanWire(progs []PortProgram, rounds int, noWire bool) WirePlan {
+	if noWire || len(progs) == 0 {
+		return WirePlan{}
 	}
-	wp := make([]WirePortProgram, len(r.port))
-	for i, p := range r.port {
+	wp := make([]WirePortProgram, len(progs))
+	for i, p := range progs {
 		w, ok := p.(WirePortProgram)
 		if !ok {
-			return
+			return WirePlan{}
 		}
 		wp[i] = w
 	}
-	maxW := 0
-	boxedRounds := false
-	var codec WireCodec
-	if len(wp) > 0 {
-		codec = wp[0]
-	}
+	plan := WirePlan{Progs: wp, Codec: wp[0]}
 	for round := 1; round <= rounds; round++ {
-		w := 0
-		if codec != nil {
-			w = codec.WireWords(round)
-		}
-		if w > maxW {
-			maxW = w
-		}
+		w := plan.Codec.WireWords(round)
+		plan.MaxW = max(plan.MaxW, w)
 		if w == 0 {
-			boxedRounds = true
+			plan.BoxedRounds = true
 		}
 	}
-	if maxW == 0 {
-		return // program declined every round
+	if plan.MaxW == 0 {
+		return WirePlan{} // program declined every round
 	}
-	r.wprogs, r.codec, r.maxW, r.boxedRounds = wp, codec, maxW, boxedRounds
+	return plan
 }

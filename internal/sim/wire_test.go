@@ -160,8 +160,9 @@ func TestWireStatsParity(t *testing.T) {
 			}{
 				{"sequential-wire", sim.Options{Engine: sim.Sequential}},
 				{"sequential-boxed", sim.Options{Engine: sim.Sequential, NoWire: true}},
-				{"parallel-3-wire", sim.Options{Engine: sim.Parallel, Workers: 3}},
-				{"parallel-3-boxed", sim.Options{Engine: sim.Parallel, Workers: 3, NoWire: true}},
+				// parallel-* labels: see engineVariants.
+				{"parallel-3-wire", sim.Options{Engine: sim.Sharded, Workers: 3}},
+				{"parallel-3-boxed", sim.Options{Engine: sim.Sharded, Workers: 3, NoWire: true}},
 				{"sharded-2-wire", sim.Options{Engine: sim.Sharded, Workers: 2}},
 				{"sharded-4-wire", sim.Options{Engine: sim.Sharded, Workers: 4}},
 				{"sharded-4-boxed", sim.Options{Engine: sim.Sharded, Workers: 4, NoWire: true}},
@@ -203,7 +204,7 @@ func TestWireOverflow(t *testing.T) {
 	g := graph.Grid(5, 5)
 	for _, opt := range []sim.Options{
 		{Engine: sim.Sequential},
-		{Engine: sim.Parallel, Workers: 3},
+		{Engine: sim.Sharded, Workers: 3},
 		{Engine: sim.Sharded, Workers: 4},
 	} {
 		t.Run(fmt.Sprintf("%v-%d", opt.Engine, opt.Workers), func(t *testing.T) {

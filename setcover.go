@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -93,14 +92,14 @@ func (i *SetCoverInstance) CoverWeight(cover []bool) int64 { return i.ins.CoverW
 
 // SetCoverSolver is the compiled set-cover session, the bipartite
 // analogue of Solver: CompileSetCover builds the flat topology of the
-// incidence graph H (and the shard partition for EngineSharded) once,
+// incidence graph H and its shard partition once,
 // and every SetCover run reuses it.  Safe for concurrent callers; see
 // Solver for the sharing contract and the weight-snapshot model
 // (UpdateWeights / WithWeights work identically, over subset weights).
 type SetCoverSolver struct {
 	ins     *SetCoverInstance
 	cfg     config
-	top     sim.Topology
+	top     *shard.Topology
 	pool    *sim.Pool
 	progs   *fracpack.ProgramPool // recycled node programs
 	version uint64
@@ -148,21 +147,8 @@ func CompileSetCover(ins *SetCoverInstance, opts ...Option) (*SetCoverSolver, er
 			return nil, fmt.Errorf("anoncover: element %d belongs to no subset; the instance has no cover", u)
 		}
 	}
-	flat := ins.ins.Flat()
-	var top sim.Topology = flat
-	if c.engine == EngineSharded {
-		k := c.workers
-		if k <= 0 {
-			k = runtime.GOMAXPROCS(0)
-		}
-		st := shard.BuildK(flat, k)
-		// Pin the session default to the clamped shard count so runs
-		// reuse the pre-built partition (see Compile).
-		c.workers = st.K()
-		top = st
-	}
 	s := &SetCoverSolver{
-		ins: ins, cfg: c, top: top, pool: sim.NewPool(),
+		ins: ins, cfg: c, top: c.compileTopology(ins.ins.Flat()), pool: sim.NewPool(),
 		progs: &fracpack.ProgramPool{}, version: ins.ins.Version(),
 	}
 	s.snap.Store(scSnapshotFromInstance(ins.ins))

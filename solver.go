@@ -31,7 +31,8 @@ type RoundInfo struct {
 var ErrRoundBudget = sim.ErrRoundBudget
 
 // Solver is a compiled vertex-cover session: Compile builds the flat
-// CSR topology, the shard partition (for EngineSharded) and a pool of
+// CSR topology, its shard partition (one shard for EngineSequential)
+// and a pool of
 // reusable execution resources once, and every run on the Solver reuses
 // them.  A Solver is safe for concurrent callers — runs check mutable
 // state (inboxes, halo buffers, worker pools) out of internal pools and
@@ -49,7 +50,7 @@ var ErrRoundBudget = sim.ErrRoundBudget
 type Solver struct {
 	g       *Graph
 	cfg     config
-	top     sim.Topology // *graph.FlatTopology, or *shard.Topology for EngineSharded
+	top     *shard.Topology // the compiled view every run reuses
 	pool    *sim.Pool
 	progs   *edgepack.ProgramPool // recycled VertexCover node programs
 	bprogs  *bcastvc.ProgramPool  // recycled VertexCoverBroadcast node programs
@@ -105,8 +106,8 @@ func mustCompile(s *Solver, err error) *Solver {
 }
 
 // Compile validates opts against g and builds a reusable Solver: the
-// flat CSR topology, the degree-balanced shard partition when the
-// engine is EngineSharded, and the session's execution pools.  Options
+// flat CSR topology, its degree-balanced shard partition (one shard
+// for EngineSequential), and the session's execution pools.  Options
 // given here become the session defaults; each run may extend or
 // override them.
 func Compile(g *Graph, opts ...Option) (*Solver, error) {
@@ -122,24 +123,8 @@ func Compile(g *Graph, opts ...Option) (*Solver, error) {
 		return nil, fmt.Errorf("anoncover: WithWeightBound(%d) below the actual maximum weight %d",
 			c.maxW, g.MaxWeight())
 	}
-	flat := g.g.Flat()
-	var top sim.Topology = flat
-	if c.engine == EngineSharded {
-		k := c.workers
-		if k <= 0 {
-			k = runtime.GOMAXPROCS(0)
-		}
-		st := shard.BuildK(flat, k)
-		// Snapshot the clamped shard count as the session default so
-		// runs match the pre-built partition exactly — a mismatched
-		// count would silently re-partition on every run.  (Sharding
-		// is an execution detail, so an explicit per-run WithWorkers
-		// override stays legal; it just pays for its own partition.)
-		c.workers = st.K()
-		top = st
-	}
 	s := &Solver{
-		g: g, cfg: c, top: top, pool: sim.NewPool(),
+		g: g, cfg: c, top: c.compileTopology(g.g.Flat()), pool: sim.NewPool(),
 		progs: &edgepack.ProgramPool{}, bprogs: &bcastvc.ProgramPool{},
 		version: g.g.Version(),
 	}
@@ -248,6 +233,29 @@ func (s *Solver) Graph() *Graph { return s.g }
 func (s *Solver) Close() error {
 	s.pool.Close()
 	return nil
+}
+
+// compileTopology builds the execution view a session's runs share:
+// the flat topology partitioned into the engine's shard count — one
+// shard for EngineSequential — so no run, and no EarlyExit chunk of a
+// run, flattens or partitions again.  It pins c.workers to the clamped
+// shard count, because a run whose count differs from the view's
+// re-partitions.  (Sharding is an execution detail, so an explicit
+// per-run WithWorkers override stays legal; it just pays for its own
+// partition.)  CSP runs read the view as a plain port structure.
+func (c *config) compileTopology(flat *graph.FlatTopology) *shard.Topology {
+	k := 1
+	if c.engine == EngineSharded {
+		k = c.workers
+		if k <= 0 {
+			k = runtime.GOMAXPROCS(0)
+		}
+	}
+	st := shard.BuildK(flat, k)
+	if c.engine == EngineSharded {
+		c.workers = st.K()
+	}
+	return st
 }
 
 // simObserver adapts a public observer to the simulator's callback.

@@ -61,6 +61,8 @@ func solverEngineVariants() []struct {
 	}{
 		{"sequential", []Option{WithEngine(EngineSequential)}},
 		{"sequential-boxed", []Option{WithEngine(EngineSequential), WithoutWirePath()}},
+		// The deprecated EngineParallel alias must keep compiling and
+		// running, as the sharded kernel.
 		{"parallel-2", []Option{WithEngine(EngineParallel), WithWorkers(2)}},
 		{"sharded-2", []Option{WithEngine(EngineSharded), WithWorkers(2)}},
 		{"sharded-4", []Option{WithEngine(EngineSharded), WithWorkers(4)}},

@@ -19,7 +19,7 @@ func weightVector(n int, maxW, seed int64) []int64 {
 
 // TestEquivUpdateWeights is the weight-snapshot acceptance matrix: runs
 // after UpdateWeights are bit-identical to a fresh Compile+run on the
-// same weights, across sequential/parallel/sharded engines on both the
+// same weights, across sequential/sharded engines on both the
 // wire and boxed delivery paths — with no recompile of the solver.
 func TestEquivUpdateWeights(t *testing.T) {
 	build := func() *Graph { return RandomGraph(60, 120, 6, 31) }
@@ -224,7 +224,7 @@ func TestUpdateWeightsSoak(t *testing.T) {
 	const vectors = 4
 	build := func() *Graph { return GridGraph(8, 8) }
 	g := build()
-	s, err := Compile(g, WithEngine(EngineParallel), WithWorkers(2))
+	s, err := Compile(g, WithEngine(EngineSharded), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
