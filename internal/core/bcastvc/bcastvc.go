@@ -82,7 +82,9 @@ type elemSim struct {
 }
 
 // Program is the per-node broadcast program on G.  It implements
-// sim.BroadcastProgram.
+// sim.BroadcastProgram but not sim.Sleeper: every node sends its
+// history every round.  The simulated fracpack programs are named
+// fields, never embedded, so Program cannot inherit their SleepUntil.
 type Program struct {
 	env     sim.Env
 	hParams sim.Params

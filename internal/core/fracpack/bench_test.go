@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"anoncover/internal/bipartite"
+	"anoncover/internal/shard"
+	"anoncover/internal/sim"
 )
 
 // BenchmarkRunScaling: linear in instance size at fixed (f, k).
@@ -65,3 +67,34 @@ func fmtInt(n int) string {
 	}
 	return string(buf[i:])
 }
+
+// BenchmarkRunSCShape runs the benchmark's set-cover shape (f=3, k=6,
+// W=1000; 3,552 rounds) at both of its instance sizes the way a
+// compiled session does: pooled programs, a pooled simulator arena and
+// a pre-built one-shard view, so the figure is the rounds themselves.
+func BenchmarkRunSCShape(b *testing.B) {
+	for _, sz := range scShapes {
+		b.Run(sz.name, func(b *testing.B) {
+			ins := bipartite.Random(sz.s, sz.u, 3, 6, 1000, 5)
+			opt := Options{
+				Topology: shard.BuildK(ins.Flat(), 1),
+				Pool:     sim.NewPool(),
+				Programs: &ProgramPool{},
+			}
+			defer opt.Pool.Close()
+			MustRun(ins, opt)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MustRun(ins, opt)
+			}
+		})
+	}
+}
+
+// scShapes are the two instance sizes of the benchmark's sc-random
+// workload.
+var scShapes = []struct {
+	name string
+	s, u int
+}{{"40x70", 40, 70}, {"80x140", 80, 140}}

@@ -10,7 +10,8 @@ import (
 )
 
 // ElemProgram is the broadcast-model node program run by every element
-// u ∈ U.  It implements sim.BroadcastProgram.
+// u ∈ U.  It implements sim.BroadcastProgram and sim.Sleeper; like
+// SubsetProgram, it must be wrapped as a named field, never embedded.
 type ElemProgram struct {
 	env sim.Env
 	lay layout
@@ -184,6 +185,24 @@ func (p *ElemProgram) Recv(round int, msgs []sim.Message) {
 			panic("fracpack: element left the trivial reduction uncoloured")
 		}
 	}
+}
+
+// SleepUntil implements sim.Sleeper.  A saturated element only ever
+// broadcasts y(u) and hears residuals, so it sleeps to the next base
+// step; an element in U_yi runs its phase's membership, offer and pick
+// rounds; any other unsaturated element sleeps through the saturation
+// phases of colours it is not in U_yi for, but runs every colouring
+// step.
+func (p *ElemProgram) SleepUntil(r int) int {
+	p.at(r)
+	rr := r - p.cur.start
+	switch {
+	case p.saturated:
+		return r + int(p.lay.toBase[rr])
+	case p.inUyi:
+		return r + 1
+	}
+	return r + int(p.lay.toWork[rr])
 }
 
 // updateSaturation marks the element saturated when any adjacent subset

@@ -84,7 +84,7 @@ func TestOutdegreeDecreasesEachIteration(t *testing.T) {
 		}
 		wrapped := make([]sim.BroadcastProgram, len(progs))
 		for i, pr := range progs {
-			wrapped[i] = &offsetProg{inner: pr}
+			wrapped[i] = &offsetProg{inner: pr.(program)}
 		}
 		prev := kycOutdegrees(ins, elems)
 		maxOut := 0
@@ -136,7 +136,7 @@ func TestSaturationIsMonotone(t *testing.T) {
 	}
 	wrapped := make([]sim.BroadcastProgram, len(progs))
 	for i, pr := range progs {
-		wrapped[i] = &offsetProg{inner: pr}
+		wrapped[i] = &offsetProg{inner: pr.(program)}
 	}
 	everSat := make([]bool, ins.U())
 	total := lay.iters * lay.perIter

@@ -117,6 +117,29 @@ func slabPut[T any](slab *[]T, v T) *T {
 	return &s[len(s)-1]
 }
 
+// maxCarveSlab caps a carve slab's length.  A pooled program keeps its
+// current slab between runs, and a subset's relay sets are a handful of
+// entries per round, so a slab as long as slabPut's would hold mostly
+// unused capacity live in every pooled subset.
+const maxCarveSlab = 32
+
+// slabCarve returns n consecutive slots of the slab, moving to a fresh
+// slab when they do not fit.  The slice's capacity ends at its length,
+// so an append by its holder reallocates instead of writing into slots
+// carved later; like slabPut's, the slots are never handed out again
+// within a run.
+func slabCarve[T any](slab *[]T, n int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		c := min(max(2*cap(s), 16), maxCarveSlab)
+		s = make([]T, 0, max(c, n))
+	}
+	lo := len(s)
+	s = s[:lo+n]
+	*slab = s
+	return s[lo : lo+n : lo+n]
+}
+
 // reset re-arms the arena for a new run over the same program.  The
 // current slabs are truncated and rewritten from the start; callers
 // must only reset once every pointer handed out in the previous run is
@@ -139,3 +162,9 @@ func (a *msgArena) weakSet(items []weakTriplet) *mWeakSet {
 func (a *msgArena) classSet(items []classState) *mClassSet {
 	return slabPut(&a.cls, mClassSet{Items: items})
 }
+
+// relay and classes carve a subset's relay sets, which leave the node
+// inside sent messages, from the append-only slabs, never from a reused
+// buffer.
+func (a *msgArena) relay(n int) []weakTriplet  { return slabCarve(&a.ts, n) }
+func (a *msgArena) classes(n int) []classState { return slabCarve(&a.cs, n) }

@@ -87,16 +87,24 @@ func (pl *ProgramPool) Put(subs []*SubsetProgram, elems []*ElemProgram) {
 }
 
 // offsetProg shifts a program's round numbering so a schedule can be run
-// in chunks.
+// in chunks.  It forwards the inner program's sleep hints in its own
+// numbering, so EarlyExit chunks sleep like a whole run.
 type offsetProg struct {
-	inner sim.BroadcastProgram
+	inner program
 	off   int
+}
+
+// program is what both node programs implement.
+type program interface {
+	sim.BroadcastProgram
+	sim.Sleeper
 }
 
 func (o *offsetProg) Init(env sim.Env)               {}
 func (o *offsetProg) Send(r int) sim.Message         { return o.inner.Send(r + o.off) }
 func (o *offsetProg) Recv(r int, msgs []sim.Message) { o.inner.Recv(r+o.off, msgs) }
 func (o *offsetProg) Output() any                    { return o.inner.Output() }
+func (o *offsetProg) SleepUntil(r int) int           { return o.inner.SleepUntil(r+o.off) - o.off }
 
 // Run executes the algorithm on ins and assembles the result.  Both
 // sides of the distributed state are cross-checked for consistency.  It
@@ -178,7 +186,7 @@ func Run(ins *bipartite.Instance, opt Options) (*Result, error) {
 		lay := newLayout(params)
 		wrapped := make([]sim.BroadcastProgram, len(progs))
 		for i, pr := range progs {
-			wrapped[i] = &offsetProg{inner: pr}
+			wrapped[i] = &offsetProg{inner: pr.(program)}
 		}
 		for done := 0; done < scheduled; {
 			for i := range wrapped {

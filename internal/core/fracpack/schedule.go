@@ -45,6 +45,13 @@ type layout struct {
 	perIter  int
 	iters    int    // D+1; 0 when no rounds are scheduled
 	steps    []step // one iteration's steps, shared read-only; nil when iters is 0
+	// Sleep hints, shared with steps: from round rr of an iteration,
+	// toBase[rr] rounds ahead is the next base step (saturation (i) or
+	// (ii), or a status round) and toWork[rr] the next base, weak or
+	// reduce step.  An iteration opens with a base step, so neither
+	// distance runs past the next iteration's first round.
+	toBase []int32
+	toWork []int32
 }
 
 // Step identifiers within an iteration.
@@ -93,11 +100,27 @@ func layoutShape(p sim.Params) layout {
 	return l
 }
 
+// base reports whether every node of some kind must run the step:
+// elements broadcast y(u) in saturation (i) and the status-y round,
+// subsets broadcast r(s) in (ii) and the status-r round.
+func (k stepKind) base() bool {
+	switch k {
+	case stepSatYBroadcast, stepSatResidual, stepStatusY, stepStatusR:
+		return true
+	}
+	return false
+}
+
+// work reports whether an unsaturated element must run the step: the
+// base steps and every step of the colouring phase.
+func (k stepKind) work() bool { return k.base() || k >= stepWeakUp }
+
 // newLayout returns the layout for p with its shared step table.
 func newLayout(p sim.Params) layout {
 	l := layoutShape(p)
 	if l.iters > 0 {
-		l.steps = stepTable(l)
+		t := stepTable(l)
+		l.steps, l.toBase, l.toWork = t.steps, t.toBase, t.toWork
 	}
 	return l
 }
@@ -112,15 +135,21 @@ const maxStepTables = 64
 // so that every program, run and solver of one shape shares one table.
 var stepTables struct {
 	sync.Mutex
-	m map[tableKey][]step
+	m map[tableKey]*tables
 }
 
 // tableKey is the shape a step table depends on.
 type tableKey struct{ colours, weakReps int }
 
-// stepTable returns the shared step table for l's shape, decoding it on
+// tables is one shape's step table and its sleep hints (see layout).
+type tables struct {
+	steps          []step
+	toBase, toWork []int32
+}
+
+// stepTable returns the shared tables for l's shape, decoding them on
 // first use.
-func stepTable(l layout) []step {
+func stepTable(l layout) *tables {
 	key := tableKey{l.colours, l.weakReps}
 	stepTables.Lock()
 	defer stepTables.Unlock()
@@ -128,11 +157,25 @@ func stepTable(l layout) []step {
 		return t
 	}
 	if stepTables.m == nil || len(stepTables.m) >= maxStepTables {
-		stepTables.m = make(map[tableKey][]step)
+		stepTables.m = make(map[tableKey]*tables)
 	}
-	t := make([]step, l.perIter)
-	for rr := range t {
-		_, t[rr] = l.locate(rr + 1)
+	t := &tables{
+		steps:  make([]step, l.perIter),
+		toBase: make([]int32, l.perIter),
+		toWork: make([]int32, l.perIter),
+	}
+	for rr := range t.steps {
+		_, t.steps[rr] = l.locate(rr + 1)
+	}
+	nextBase, nextWork := l.perIter, l.perIter
+	for rr := l.perIter - 1; rr >= 0; rr-- {
+		t.toBase[rr] = int32(nextBase - rr)
+		t.toWork[rr] = int32(nextWork - rr)
+		if k := t.steps[rr].kind; k.base() {
+			nextBase, nextWork = rr, rr
+		} else if k.work() {
+			nextWork = rr
+		}
 	}
 	stepTables.m[key] = t
 	return t

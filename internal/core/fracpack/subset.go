@@ -8,7 +8,10 @@ import (
 )
 
 // SubsetProgram is the broadcast-model node program run by every subset
-// node s ∈ S.  It implements sim.BroadcastProgram.
+// node s ∈ S.  It implements sim.BroadcastProgram and sim.Sleeper.  Its
+// sleep hints describe its own Send and Recv only: a type that embeds
+// it and changes either would inherit a promise it does not keep, so
+// wrappers hold it as a named field (as bcastvc does).
 type SubsetProgram struct {
 	env sim.Env
 	lay layout
@@ -24,8 +27,9 @@ type SubsetProgram struct {
 	qSet []bool
 
 	// relay scratch
-	weakM  []weakTriplet // M(s): triplets received in the last weak up-round
-	classM []classState  // class states received in the last reduce up-round
+	weakM   []weakTriplet // M(s): triplets received in the last weak up-round
+	weakBuf []weakTriplet // weakM's storage, reused: M(s) never leaves the node
+	classM  []classState  // class states received in the last reduce up-round
 }
 
 // NewSubset returns an initialized subset-node program.
@@ -93,16 +97,22 @@ func (p *SubsetProgram) Send(round int) sim.Message {
 	case stepWeakDown:
 		// §4.5 step (ii): relay (c'(v), i, x_i(s)) for every stored
 		// triplet whose p(v) equals q_i(s).
-		var items []weakTriplet
+		n := 0
 		for _, t := range p.weakM {
-			i := t.C
-			if i >= 1 && i <= p.lay.colours && p.qSet[i] && t.P.Equal(p.q[i]) {
-				items = append(items, weakTriplet{CPrime: t.CPrime, C: i, P: p.x[i]})
+			if p.relays(t) {
+				n++
 			}
 		}
-		if items != nil {
-			return p.ar.weakSet(items)
+		if n == 0 {
+			return nil
 		}
+		items := p.ar.relay(n)[:0]
+		for _, t := range p.weakM {
+			if p.relays(t) {
+				items = append(items, weakTriplet{CPrime: t.CPrime, C: t.C, P: p.x[t.C]})
+			}
+		}
+		return p.ar.weakSet(items)
 	case stepReduceDown:
 		if p.classM != nil {
 			return p.ar.classSet(p.classM)
@@ -162,23 +172,80 @@ func (p *SubsetProgram) Recv(round int, msgs []sim.Message) {
 			panic("fracpack: x_i(s) and q_i(s) must be set together")
 		}
 	case stepWeakUp:
-		// Fresh slices, never [:0] reuse: sent messages may be retained
-		// indefinitely by the Section 5 history simulation, so a buffer
-		// that ever left this node must not be overwritten.
-		p.weakM = nil
+		// M(s) only feeds the relay this node builds next round, which
+		// copies what it sends, so its storage is reused.
+		p.weakM = p.weakBuf[:0]
 		for _, raw := range msgs {
 			if t, ok := raw.(*weakTriplet); ok {
 				p.weakM = append(p.weakM, *t)
 			}
 		}
+		if len(p.weakM) == 0 {
+			p.weakM = nil
+		} else {
+			p.weakBuf = p.weakM
+		}
 	case stepReduceUp:
+		// The class states are relayed as they are, inside a message the
+		// Section 5 history simulation may keep for the whole run, so
+		// they are carved from the arena and never overwritten.
 		p.classM = nil
-		for _, raw := range msgs {
-			if c, ok := raw.(*classState); ok {
-				p.classM = append(p.classM, *c)
+		if n := countOf[*classState](msgs); n > 0 {
+			p.classM = p.ar.classes(n)[:0]
+			for _, raw := range msgs {
+				if c, ok := raw.(*classState); ok {
+					p.classM = append(p.classM, *c)
+				}
 			}
 		}
 	}
+}
+
+// relays reports whether §4.5 step (ii) relays a stored triplet: its
+// colour is a saturation colour whose pick this subset heard, and p(v)
+// equals q_i(s).
+func (p *SubsetProgram) relays(t weakTriplet) bool {
+	i := t.C
+	return i >= 1 && i <= p.lay.colours && p.qSet[i] && t.P.Equal(p.q[i])
+}
+
+// countOf counts the messages of type T in a round's inbox.
+func countOf[T any](msgs []sim.Message) int {
+	n := 0
+	for _, raw := range msgs {
+		if _, ok := raw.(T); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// SleepUntil implements sim.Sleeper.  A subset must broadcast r(s) in
+// saturation step (ii) and the status-r round, so it sleeps to the next
+// base step unless its state says the next round needs it: an offer or
+// pick round of a colour it holds x_i(s) for, or a weak or reduce round
+// while it holds relay state.  Every other round it would only hear
+// offers, picks or element states, and those wake it.
+func (p *SubsetProgram) SleepUntil(r int) int {
+	p.at(r)
+	rr := r - p.cur.start
+	if rr+1 < p.lay.perIter {
+		switch next := p.lay.steps[rr+1]; next.kind {
+		case stepSatOffer, stepSatPick:
+			if p.xSet[next.colour()] {
+				return r + 1
+			}
+		case stepWeakUp, stepWeakDown:
+			if p.weakM != nil {
+				return r + 1
+			}
+		case stepReduceUp, stepReduceDown:
+			if p.classM != nil {
+				return r + 1
+			}
+		}
+	}
+	return r + int(p.lay.toBase[rr])
 }
 
 // SubsetResult is a subset node's final output.

@@ -23,6 +23,31 @@ func (p *quietBcast) Recv(r int, msgs []Message) {
 }
 func (p *quietBcast) Output() any { return p.acc }
 
+// quietSleeper is a Sleeper: it speaks only in rounds congruent to
+// its phase mod 3 and sleeps in between, so a run mixes due nodes,
+// sleeping nodes and nodes woken by a neighbour of another phase.
+type quietSleeper struct {
+	quietBcast
+	phase int
+}
+
+func (p *quietSleeper) Send(r int) Message {
+	if r%3 != p.phase {
+		return nil
+	}
+	return p.msg
+}
+
+func (p *quietSleeper) Recv(r int, msgs []Message) {
+	for _, m := range msgs {
+		if m != nil {
+			p.acc += m.(uint64)
+		}
+	}
+}
+
+func (p *quietSleeper) SleepUntil(r int) int { return r + 1 + (p.phase-(r+1)%3+3)%3 }
+
 // quietWire rides the wire path: one-word lanes, no per-round work
 // beyond the fold, so any steady-state allocation belongs to the
 // engine's lane plumbing.
@@ -144,6 +169,21 @@ func TestEngineAllocsPerRound(t *testing.T) {
 			})
 			if boxed {
 				continue // quietWire's wire path has no boxed variant of interest
+			}
+			if c.name == "sequential" || c.name == "sharded-2" {
+				t.Run("broadcast-sleeping/"+name, func(t *testing.T) {
+					progs := make([]BroadcastProgram, g.N())
+					for v := range progs {
+						progs[v] = &quietSleeper{quietBcast: quietBcast{msg: uint64(3)}, phase: v % 3}
+					}
+					got := allocsPerRound(t, func(rounds int) {
+						RunBroadcast(g, progs, rounds, opt)
+					})
+					t.Logf("allocs/round = %.2f", got)
+					if got > c.budget {
+						t.Errorf("sleeping broadcast %s: %.2f allocs/round, budget %.2f", name, got, c.budget)
+					}
+				})
 			}
 			t.Run("wireport/"+name, func(t *testing.T) {
 				progs := make([]PortProgram, g.N())

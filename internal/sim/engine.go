@@ -237,8 +237,10 @@ func (r *runner) arenaFor() (a *arena, done func()) {
 // workers == 1), with optional per-round tracing, context cancellation,
 // a round budget, and an observer — all evaluated at the round barrier.
 // counts holds one tally per shard that is summed into the Stats and,
-// when an observer is set, fanned back in after every round.
-func (r *runner) runPhases(rounds, workers int, body func(w, phase int), counts []counters) (Stats, error) {
+// when an observer is set, fanned back in after every round.  A round
+// for which idle (when non-nil) reports true is not dispatched at all;
+// it still counts, is traced and is observed like any other.
+func (r *runner) runPhases(rounds, workers int, body func(w, phase int), idle func(round int) bool, counts []counters) (Stats, error) {
 	var pool *workerPool
 	if workers > 1 {
 		if p := r.opt.Pool; p != nil {
@@ -303,9 +305,12 @@ func (r *runner) runPhases(rounds, workers int, body func(w, phase int), counts 
 			m0 = ms.Mallocs
 			t0 = time.Now()
 		}
-		if pool == nil {
+		skip := idle != nil && idle(round)
+		switch {
+		case skip:
+		case pool == nil:
 			body(0, phaseSend)
-		} else {
+		default:
 			pool.dispatch(phaseSend)
 		}
 		var sendNS int64
@@ -323,9 +328,11 @@ func (r *runner) runPhases(rounds, workers int, body func(w, phase int), counts 
 		if trace {
 			t1 = time.Now()
 		}
-		if pool == nil {
+		switch {
+		case skip:
+		case pool == nil:
 			body(0, phaseRecv)
-		} else {
+		default:
 			pool.dispatch(phaseRecv)
 		}
 		stats.Rounds = round

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"anoncover/internal/shard"
@@ -38,6 +39,24 @@ import (
 //     per-slot scatter and no drain loop at all.
 //   - Boxed rounds keep the Message inboxes, BRoute scatter and
 //     halo/ghost-cell drains.
+//
+// The interned path is also activity-sparse when every program is a
+// Sleeper (sendSparse, recvSparse).  After a node's Recv(r) the kernel
+// records SleepUntil(r) as the node's due round and skips its Send,
+// gather and Recv until then.  Wake rule: a non-nil value wakes each
+// node that hears it, for that round's Recv only — same-shard
+// receivers are stamped in the send phase through the sender's BRoute
+// slots, cut-edge receivers in the receive phase through the shard's
+// In halo slots, scanned only when the source shard published a
+// non-nil value this round.  A shard with no node due and none woken
+// skips both phases in O(1), and a round in which no shard has a node
+// due is not dispatched to the workers at all.  Parity-slot rule: a
+// skipped node publishes nothing, so both of its value slots must
+// already hold nil when it sleeps past the next round.  The slot of the
+// next parity is cleared at Recv(r) (round r-1's gathers are done); the
+// slot of round r's parity is still being gathered by other shards in
+// that phase, so it is cleared at the start of round r+1's send phase.
+// Runs whose programs do not all sleep, and the boxed path, stay dense.
 //
 // Sharding is an execution detail only: outputs and Stats are
 // bit-identical to the one-shard reference on every program, every
@@ -91,10 +110,14 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 	var bvals [2][]Message
 	var inboxesW [][]uint64
 	var haloW [2][][]uint64
+	var sl *sleepState
 	if bcast {
 		inboxes, _, bvals = a.grabSharded(st, true, !r.interned)
 		if r.interned {
 			r.bscratch = a.grabScratch(workers, st.Flat().MaxDeg())
+			if rounds < math.MaxInt32 {
+				sl = a.grabSleep(st, r.bcast)
+			}
 		}
 	} else {
 		if r.wire.Codec == nil || r.wire.BoxedRounds {
@@ -109,6 +132,14 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 
 	stepShard := func(s, w, phase int) {
 		sh := &st.Shards[s]
+		if sl != nil {
+			if phase == phaseSend {
+				r.sendSparse(sl, sh, s, bvals, &counts[s])
+			} else {
+				r.recvSparse(sl, sh, s, w, bvals, int32(rounds))
+			}
+			return
+		}
 		if phase == phaseSend {
 			var msgs, bytes int64
 			switch {
@@ -336,5 +367,174 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 			stepShard(s, w, phase)
 		}
 	}
-	return r.runPhases(rounds, workers, body, counts)
+	var idle func(int) bool
+	if sl != nil {
+		idle = sl.idle
+	}
+	return r.runPhases(rounds, workers, body, idle, counts)
+}
+
+// sleepState is a run's activity-sparse bookkeeping for the interned
+// broadcast path: who is due when, who was woken this round, and which
+// value slots still need clearing.  It lives in the run's arena, so a
+// pooled run allocates none of it.
+type sleepState struct {
+	progs []Sleeper // per node
+	// due and wake are indexed by value-table position (ValBase+i):
+	// node i of a shard runs round r in full when due == r, and only
+	// its Recv when it is not due but wake == r.
+	due  []int32
+	wake []int32
+	// owner maps each shard's inbox slots to the local index of the
+	// node the slot belongs to; st is the topology it was built for.
+	owner  [][]int32
+	st     *shard.Topology
+	shards []shardSleep
+}
+
+// shardSleep is one shard's round-level sleep state, padded so shards
+// stepped by different workers do not share a cache line.
+type shardSleep struct {
+	minDue int32 // earliest due round of any node in the shard
+	woke   int32 // last round a same-shard send woke one of its nodes
+	// pub is the last round the shard published a non-nil value.  Other
+	// shards read it in the receive phase, so it keeps a word of its own.
+	pub   int32
+	slept []int32 // nodes that fell asleep in the last receive phase
+	_     [32]byte
+}
+
+// idle reports whether no shard has work in round: no node is due, so
+// nothing is sent and nobody is woken, and no value slot is left to
+// clear from the round before (only this round's send phase addresses
+// that slot's parity).
+func (sl *sleepState) idle(round int) bool {
+	rd := int32(round)
+	for s := range sl.shards {
+		if ss := &sl.shards[s]; ss.minDue <= rd || len(ss.slept) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sendSparse is the send phase of an activity-sparse interned round:
+// only due nodes send.  A sleeping node's value slots are nil in both
+// parities (see runSharded), so skipping it publishes exactly the nil
+// its Send would have returned.  A non-nil value stamps a wake on
+// every same-shard receiver through the node's BRoute slots.
+func (r *runner) sendSparse(sl *sleepState, sh *shard.Shard, s int, bvals [2][]Message, cnt *counters) {
+	ss := &sl.shards[s]
+	rd := int32(r.round)
+	// Nodes that fell asleep at Recv(r-1) still hold their round-(r-1)
+	// value in the other parity; every gather of round r-1 is past the
+	// barrier now, so it can go.
+	if len(ss.slept) > 0 {
+		prev := bvals[(r.round+1)&1][sh.ValBase:]
+		for _, i := range ss.slept {
+			prev[i] = nil
+		}
+		ss.slept = ss.slept[:0]
+	}
+	if ss.minDue > rd {
+		return
+	}
+	base := int(sh.ValBase)
+	bval := bvals[r.round&1][base:]
+	due := sl.due[base : base+len(sh.Nodes)]
+	wake := sl.wake[base : base+len(sh.Nodes)]
+	owner := sl.owner[s]
+	var msgs, bytes int64
+	for i, v := range sh.Nodes {
+		if due[i] > rd {
+			continue
+		}
+		m := r.bcast[v].Send(r.round)
+		bval[i] = m
+		if m == nil {
+			continue
+		}
+		deg := int64(sh.Off[i+1] - sh.Off[i])
+		msgs += deg
+		if sz, ok := m.(Sizer); ok {
+			bytes += deg * int64(sz.WireSize())
+		}
+		ss.pub = rd
+		if lo, hi := sh.BOff[i], sh.BOff[i+1]; lo < hi {
+			ss.woke = rd
+			for _, rt := range sh.BRoute[lo:hi] {
+				wake[owner[rt]] = rd
+			}
+		}
+	}
+	cnt.msgs += msgs
+	cnt.bytes += bytes
+}
+
+// recvSparse is the receive phase of an activity-sparse interned round.
+// Cut-edge wakes are found by scanning the In halo segments of source
+// shards that published something this round; a shard with no node due
+// and none woken returns without touching its nodes.  Otherwise every
+// due or woken node gathers and receives as on the dense path, and is
+// asked when it must run next.
+func (r *runner) recvSparse(sl *sleepState, sh *shard.Shard, s, w int, bvals [2][]Message, rounds int32) {
+	ss := &sl.shards[s]
+	rd := int32(r.round)
+	vals := bvals[r.round&1]
+	base := int(sh.ValBase)
+	wake := sl.wake[base : base+len(sh.Nodes)]
+	owner := sl.owner[s]
+	woke := ss.woke == rd
+	for hi := range sh.In {
+		in := &sh.In[hi]
+		if sl.shards[in.Src].pub != rd {
+			continue
+		}
+		for j, slot := range in.Slots {
+			if vals[in.SrcVal[j]] != nil {
+				wake[owner[slot]] = rd
+				woke = true
+			}
+		}
+	}
+	if !woke && ss.minDue > rd {
+		return
+	}
+	due := sl.due[base : base+len(sh.Nodes)]
+	next := bvals[(r.round+1)&1][base:]
+	scratch := r.bscratch[w]
+	minDue := int32(math.MaxInt32)
+	for i, v := range sh.Nodes {
+		d := due[i]
+		if d > rd && wake[i] != rd {
+			minDue = min(minDue, d)
+			continue
+		}
+		src := sh.BSrc[sh.Off[i]:sh.Off[i+1]]
+		in := scratch[:len(src)]
+		for p, e := range src {
+			in[p] = vals[e]
+		}
+		r.recv(int(v), r.round, in)
+		until := sl.progs[v].SleepUntil(r.round)
+		if until <= r.round {
+			panic(fmt.Sprintf("sim: node %d: SleepUntil(%d) = %d, want a later round", v, r.round, until))
+		}
+		nd := rounds + 1
+		if until <= int(rounds) {
+			nd = int32(until)
+		}
+		if d <= rd && nd > rd+1 {
+			// The node sent this round and now sleeps past the next
+			// one.  Its next-parity slot still holds its round-(r-1)
+			// value, which no gather reads any more; its current-parity
+			// slot is being gathered this phase and is cleared in the
+			// next send phase.
+			next[i] = nil
+			ss.slept = append(ss.slept, int32(i))
+		}
+		due[i] = nd
+		minDue = min(minDue, nd)
+	}
+	ss.minDue = minDue
 }

@@ -102,6 +102,9 @@ func (p *Pool) Close() {
 // phase fills the inboxes and halo buffers the receive phase drains),
 // so recycled contents are never observed and the buffers need no
 // clearing on reuse — only on release, to unpin the old run's messages.
+// A sleeping run writes a value slot only when its node sends, but every
+// node sends in round 1 and a node clears both of its slots before it
+// sleeps past a round, so the rule still holds.
 // The word buffers of the wire path hold no pointers and are skipped by
 // the release scrub entirely.
 type arena struct {
@@ -120,6 +123,8 @@ type arena struct {
 	stWords  int             // ... and their per-slot word capacity
 	inboxesW [][]uint64
 	haloW    [2][][]uint64
+
+	sleep sleepState // activity-sparse broadcast state (engine_sharded.go)
 }
 
 // grabOut returns per-worker lane scratch, each of size words.
@@ -219,6 +224,58 @@ func (a *arena) grabShardedWords(st *shard.Topology, maxW int) (inboxesW [][]uin
 	return a.inboxesW, a.haloW
 }
 
+// grabSleep returns the sleep state for a run of progs over st, or nil
+// when some program is not a Sleeper (the run then stays dense).  The
+// slot→owner tables depend on st alone and are rebuilt only when the
+// arena was last shaped for another topology; the per-node and
+// per-shard round stamps are re-armed for every run, since round
+// numbers restart at 1 and a stale stamp would wake or skip a node.
+func (a *arena) grabSleep(st *shard.Topology, progs []BroadcastProgram) *sleepState {
+	sl := &a.sleep
+	n := st.N()
+	if cap(sl.progs) < n {
+		sl.progs = make([]Sleeper, n)
+	}
+	sl.progs = sl.progs[:n]
+	for v, p := range progs {
+		s, ok := p.(Sleeper)
+		if !ok {
+			clear(sl.progs)
+			return nil
+		}
+		sl.progs[v] = s
+	}
+	k := st.K()
+	if sl.st != st {
+		sl.st = st
+		sl.due = make([]int32, n)
+		sl.wake = make([]int32, n)
+		sl.owner = make([][]int32, k)
+		sl.shards = make([]shardSleep, k)
+		for s := range st.Shards {
+			sh := &st.Shards[s]
+			owner := make([]int32, sh.InboxLen())
+			for i := range sh.Nodes {
+				for slot := sh.Off[i]; slot < sh.Off[i+1]; slot++ {
+					owner[slot] = int32(i)
+				}
+			}
+			sl.owner[s] = owner
+			sl.shards[s].slept = make([]int32, 0, len(sh.Nodes))
+		}
+	}
+	for i := range sl.due {
+		sl.due[i] = 1
+	}
+	clear(sl.wake)
+	for s := range sl.shards {
+		ss := &sl.shards[s]
+		ss.minDue, ss.pub, ss.woke = 1, 0, 0
+		ss.slept = ss.slept[:0]
+	}
+	return sl
+}
+
 // scrub drops every message reference so a parked arena does not keep a
 // finished run's payloads (broadcast histories can be large) alive.
 // Word buffers carry no references and are left as they are.
@@ -235,6 +292,7 @@ func (a *arena) scrub() {
 		}
 		clearMsgs(a.bvals[gen])
 	}
+	clear(a.sleep.progs)
 }
 
 func clearMsgs(s []Message) {

@@ -54,6 +54,21 @@
 // the algorithm packages rerun boxed, so results never depend on the
 // path taken.
 //
+// The interned path also skips silent node-rounds.  A broadcast program
+// that implements Sleeper promises, after each Recv(r), a round w > r
+// before which it sends nil and ignores an all-nil inbox.  When every
+// program of a run does, the kernel skips each sleeping node's Send,
+// gather and Recv; a non-nil message wakes its receiver for that
+// round's Recv only, and a shard with nothing due and nothing woken
+// skips the round in O(1).  Because the value table is double-buffered
+// by round parity, a node that sleeps past the next round has both of
+// its slots cleared: the next parity's at its Recv, the current one's
+// in the following send phase, once every gather of the round is done
+// (runSharded gives the details).  Nil messages are never counted, so
+// Stats do not change; the boxed path, the CSP engine and the
+// Distributed engine stay dense and are the references sleeping runs
+// are held to.
+//
 // Sharding is an execution detail only: observable behaviour — outputs
 // and Stats — must stay bit-identical to the synchronous port-numbering
 // semantics of the one-shard reference, whatever the partition.
@@ -131,6 +146,26 @@ type BroadcastProgram interface {
 	// order.  Programs must not depend on the order or retain the slice.
 	Recv(r int, msgs []Message)
 	Output() any
+}
+
+// Sleeper is an optional interface of a BroadcastProgram whose schedule
+// has rounds in which it neither speaks nor listens.  The kernel calls
+// SleepUntil(r) after the node's Recv(r); the result w must exceed r,
+// and it is a promise about every round t with r < t < w: Send(t)
+// returns nil, and Recv(t, msgs) with every message nil leaves the
+// program's state unchanged.  The kernel then skips the node's Send,
+// gather and Recv in those rounds unless a neighbour's non-nil message
+// wakes it, in which case it runs that round's Recv (never its Send)
+// and is asked again.  Programs that cannot keep the promise simply do
+// not implement the interface; a run sleeps only when every program
+// does.
+//
+// A program type must implement SleepUntil for its own Send and Recv.
+// A type that embeds a Sleeper and overrides Send or Recv inherits a
+// promise it does not keep: hold the inner program as a named field
+// instead.
+type Sleeper interface {
+	SleepUntil(r int) int
 }
 
 // Topology is the simulator-side wiring.  *graph.G and

@@ -10,7 +10,6 @@ import (
 
 	"anoncover/internal/bipartite"
 	"anoncover/internal/core/fracpack"
-	"anoncover/internal/shard"
 	"anoncover/internal/sim"
 )
 
@@ -99,7 +98,7 @@ func (i *SetCoverInstance) CoverWeight(cover []bool) int64 { return i.ins.CoverW
 type SetCoverSolver struct {
 	ins     *SetCoverInstance
 	cfg     config
-	top     *shard.Topology
+	views   *views
 	pool    *sim.Pool
 	progs   *fracpack.ProgramPool // recycled node programs
 	version uint64
@@ -148,7 +147,7 @@ func CompileSetCover(ins *SetCoverInstance, opts ...Option) (*SetCoverSolver, er
 		}
 	}
 	s := &SetCoverSolver{
-		ins: ins, cfg: c, top: c.compileTopology(ins.ins.Flat()), pool: sim.NewPool(),
+		ins: ins, cfg: c, views: c.compileViews(ins.ins.Flat()), pool: sim.NewPool(),
 		progs: &fracpack.ProgramPool{}, version: ins.ins.Version(),
 	}
 	s.snap.Store(scSnapshotFromInstance(ins.ins))
@@ -238,10 +237,11 @@ func (s *SetCoverSolver) SetCover(ctx context.Context, opts ...Option) (*SetCove
 	if err != nil {
 		return nil, err
 	}
+	top, workers := s.views.forRun(&c)
 	res, err := fracpack.Run(snap.ins, fracpack.Options{
-		Engine: c.engine.internal(), Workers: c.workers, ScrambleSeed: c.scramble,
+		Engine: c.engine.internal(), Workers: workers, ScrambleSeed: c.scramble,
 		F: c.f, K: c.k, W: c.maxW, EarlyExit: c.earlyExit,
-		Topology: s.top, Context: ctx, RoundBudget: c.budget,
+		Topology: top, Context: ctx, RoundBudget: c.budget,
 		Observer: simObserver(c.observer), Pool: s.pool,
 		NoWire: c.noWire, Programs: s.progs,
 	})

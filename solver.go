@@ -50,7 +50,7 @@ var ErrRoundBudget = sim.ErrRoundBudget
 type Solver struct {
 	g       *Graph
 	cfg     config
-	top     *shard.Topology // the compiled view every run reuses
+	views   *views // the compiled execution views runs reuse
 	pool    *sim.Pool
 	progs   *edgepack.ProgramPool // recycled VertexCover node programs
 	bprogs  *bcastvc.ProgramPool  // recycled VertexCoverBroadcast node programs
@@ -124,7 +124,7 @@ func Compile(g *Graph, opts ...Option) (*Solver, error) {
 			c.maxW, g.MaxWeight())
 	}
 	s := &Solver{
-		g: g, cfg: c, top: c.compileTopology(g.g.Flat()), pool: sim.NewPool(),
+		g: g, cfg: c, views: c.compileViews(g.g.Flat()), pool: sim.NewPool(),
 		progs: &edgepack.ProgramPool{}, bprogs: &bcastvc.ProgramPool{},
 		version: g.g.Version(),
 	}
@@ -240,9 +240,10 @@ func (s *Solver) Close() error {
 // shard for EngineSequential — so no run, and no EarlyExit chunk of a
 // run, flattens or partitions again.  It pins c.workers to the clamped
 // shard count, because a run whose count differs from the view's
-// re-partitions.  (Sharding is an execution detail, so an explicit
-// per-run WithWorkers override stays legal; it just pays for its own
-// partition.)  CSP runs read the view as a plain port structure.
+// re-partitions.  (Sharding is an execution detail, so a per-run engine
+// or WithWorkers override stays legal; a session builds the view it
+// needs once, see views.)  CSP runs read the view as a plain port
+// structure.
 func (c *config) compileTopology(flat *graph.FlatTopology) *shard.Topology {
 	k := 1
 	if c.engine == EngineSharded {
@@ -256,6 +257,65 @@ func (c *config) compileTopology(flat *graph.FlatTopology) *shard.Topology {
 		c.workers = st.K()
 	}
 	return st
+}
+
+// maxViews bounds a session's view cache.  Shard counts come from the
+// engine and WithWorkers, so a session sees one or two; a caller cycling
+// through ever new worker counts gets uncached views past the bound, as
+// every run did before views were cached.
+const maxViews = 8
+
+// views is a session's execution views, one per shard count, built
+// on first use.  A run whose engine or worker count differs from the
+// session's — a per-run EngineSequential override on a Sharded
+// session, say — then partitions once per session instead of once per
+// run, and keeps reusing the run arena shaped for its view.
+type views struct {
+	flat     *graph.FlatTopology
+	compiled *shard.Topology // the view for the session's own engine
+
+	mu  sync.Mutex
+	byK map[int]*shard.Topology // keyed by the requested shard count
+}
+
+// compileViews builds a session's view cache around the compiled view.
+func (c *config) compileViews(flat *graph.FlatTopology) *views {
+	st := c.compileTopology(flat)
+	k := 1
+	if c.engine == EngineSharded {
+		k = c.workers
+	}
+	return &views{flat: flat, compiled: st, byK: map[int]*shard.Topology{k: st}}
+}
+
+// forRun returns the view a run under c executes on and the worker
+// count that makes the kernel use it as is: the kernel re-partitions a
+// view whose shard count differs from the run's, and the partitioner
+// clamps counts on tiny topologies.  Engines outside the kernel (CSP,
+// Distributed) read the compiled view as a plain port structure.
+func (v *views) forRun(c *config) (*shard.Topology, int) {
+	var k int
+	switch c.engine {
+	case EngineSequential:
+		k = 1
+	case EngineSharded:
+		k = c.workers
+		if k <= 0 {
+			k = runtime.GOMAXPROCS(0)
+		}
+	default:
+		return v.compiled, c.workers
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	st, ok := v.byK[k]
+	if !ok {
+		st = shard.BuildK(v.flat, k)
+		if len(v.byK) < maxViews {
+			v.byK[k] = st
+		}
+	}
+	return st, st.K()
 }
 
 // simObserver adapts a public observer to the simulator's callback.
@@ -278,9 +338,10 @@ func (s *Solver) VertexCover(ctx context.Context, opts ...Option) (*VertexCoverR
 	if err != nil {
 		return nil, err
 	}
+	top, workers := s.views.forRun(&c)
 	res, err := edgepack.Run(snap.g, edgepack.Options{
-		Engine: c.engine.internal(), Workers: c.workers, Delta: c.delta, W: c.maxW,
-		Topology: s.top, Context: ctx, RoundBudget: c.budget,
+		Engine: c.engine.internal(), Workers: workers, Delta: c.delta, W: c.maxW,
+		Topology: top, Context: ctx, RoundBudget: c.budget,
 		Observer: simObserver(c.observer), Pool: s.pool,
 		NoWire: c.noWire, Programs: s.progs,
 	})
@@ -309,10 +370,11 @@ func (s *Solver) VertexCoverBroadcast(ctx context.Context, opts ...Option) (*Ver
 	if err != nil {
 		return nil, err
 	}
+	top, workers := s.views.forRun(&c)
 	res, err := bcastvc.Run(snap.g, bcastvc.Options{
-		Engine: c.engine.internal(), Workers: c.workers, ScrambleSeed: c.scramble,
+		Engine: c.engine.internal(), Workers: workers, ScrambleSeed: c.scramble,
 		Delta: c.delta, W: c.maxW,
-		Topology: s.top, Context: ctx, RoundBudget: c.budget,
+		Topology: top, Context: ctx, RoundBudget: c.budget,
 		Observer: simObserver(c.observer), Pool: s.pool,
 		NoWire: c.noWire, Programs: s.bprogs,
 	})

@@ -462,3 +462,68 @@ func TestSolverUncoverableInstance(t *testing.T) {
 		t.Fatal("uncoverable instance compiled without error")
 	}
 }
+
+// TestSolverViewPerShardCount: a per-run engine override on a Sharded
+// session partitions once for the session, not once per run — the
+// second and later overridden runs get the view the first one built,
+// with the shard count the kernel runs at, so it uses the view as is.
+func TestSolverViewPerShardCount(t *testing.T) {
+	g := GridGraph(12, 12)
+	g.WeighRandom(50, 3)
+	ins := RandomSetCover(10, 24, 3, 6, 12, 35)
+	vc, err := Compile(g, WithEngine(EngineSharded), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vc.Close()
+	sc, err := CompileSetCover(ins, WithEngine(EngineSharded), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	refVC, refSC := VertexCover(g), SetCover(ins)
+	for _, c := range []struct {
+		name string
+		v    *views
+		run  func(opts ...Option) error
+	}{
+		{"vertexcover", vc.views, func(opts ...Option) error {
+			got, err := vc.VertexCover(context.Background(), opts...)
+			if err == nil {
+				mustSameVC(t, "override", refVC, got)
+			}
+			return err
+		}},
+		{"setcover", sc.views, func(opts ...Option) error {
+			got, err := sc.SetCover(context.Background(), opts...)
+			if err == nil {
+				mustSameSC(t, "override", refSC, got)
+			}
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			seq := WithEngine(EngineSequential)
+			for rep := 0; rep < 3; rep++ {
+				if err := c.run(seq); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := len(c.v.byK); n != 2 {
+				t.Fatalf("%d views after sequential overrides on a sharded-2 session, want 2", n)
+			}
+			cfg := config{engine: EngineSequential}
+			first, k := c.v.forRun(&cfg)
+			if again, _ := c.v.forRun(&cfg); again != first || k != first.K() || first.K() != 1 {
+				t.Fatalf("sequential view: %p then %p, K %d, workers %d", first, again, first.K(), k)
+			}
+			own := config{engine: EngineSharded, workers: 2}
+			if compiled, k := c.v.forRun(&own); compiled != c.v.compiled || k != 2 {
+				t.Fatalf("session's own runs moved off the compiled view (K %d)", k)
+			}
+		})
+	}
+}
