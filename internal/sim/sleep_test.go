@@ -312,3 +312,38 @@ func TestSleepKernelMatchesDense(t *testing.T) {
 		t.Fatal("jitter never slept")
 	}
 }
+
+// TestSleepRunHooks: rounds the sleeping kernel skips, whole or in part,
+// still pass through the round barrier — the observer sees the same
+// cumulative stream as on the dense boxed path, tracing records every
+// round, and a round budget stops the run at the same boundary.
+func TestSleepRunHooks(t *testing.T) {
+	ins := scFamilies()["random-f3k6"]
+	observe := func(opt sim.Options) ([]sim.RoundInfo, sim.Stats) {
+		progs, rounds := fracpackProgs(ins)
+		var seen []sim.RoundInfo
+		opt.Observer = func(ri sim.RoundInfo) { seen = append(seen, ri) }
+		opt.Trace = true
+		st, err := sim.RunBroadcast(ins, progs, rounds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.RoundNanos) != rounds {
+			t.Fatalf("%d traced rounds of %d", len(st.RoundNanos), rounds)
+		}
+		return seen, st
+	}
+	ref, refStats := observe(sim.Options{NoWire: true})
+	for _, opt := range []sim.Options{{}, {Engine: sim.Sharded, Workers: 3}} {
+		got, st := observe(opt)
+		mustEqualStats(t, refStats, st)
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%v: observer stream diverges from the dense run's", opt.Engine)
+		}
+	}
+	progs, rounds := fracpackProgs(ins)
+	st, err := sim.RunBroadcast(ins, progs, rounds, sim.Options{RoundBudget: rounds - 1})
+	if err != sim.ErrRoundBudget || st.Rounds != rounds-1 {
+		t.Fatalf("budget %d of %d rounds: ran %d, err %v", rounds-1, rounds, st.Rounds, err)
+	}
+}
