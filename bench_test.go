@@ -1,5 +1,5 @@
-// Benchmarks, one per paper artifact (see DESIGN.md's per-experiment
-// index): Table 1, Theorems 1 and 2, Figures 1-4, Section 5, Section 7,
+// Benchmarks, one per paper artifact (the experiments cmd/experiments
+// prints): Table 1, Theorems 1 and 2, Figures 1-4, Section 5, Section 7,
 // and the ablations.  Custom metrics report rounds and approximation
 // ratios next to the usual ns/op.
 package anoncover
@@ -382,8 +382,6 @@ func BenchmarkDualityCheck(b *testing.B) {
 // oneshot variant pays the full per-call setup (flatten, shard
 // partition, worker spawn) on every run; the solver variant compiles
 // once and serves repeated runs from the session's pooled resources.
-// BENCH_3.json records the same comparison machine-readably (`go run
-// ./cmd/experiments -exp bench`).
 func BenchmarkSolverReuse(b *testing.B) {
 	families := []struct {
 		name string

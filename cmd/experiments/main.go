@@ -1,17 +1,17 @@
 // Command experiments regenerates every table and figure of Åstrand &
-// Suomela (SPAA 2010) from running code.  Each experiment is documented
-// in DESIGN.md (per-experiment index) and its output is recorded in
-// EXPERIMENTS.md.
+// Suomela (SPAA 2010) from running code.  Where the implementation
+// departs from the paper, README.md ("Deviations from the paper") says
+// how.
 //
 // Usage:
 //
 //	experiments -exp all
 //	experiments -exp e1      (Table 1)
 //	experiments -exp e6      (Figure 1 worked example)
-//	experiments -exp bench   (engine × family × size matrix -> BENCH_<pr>.json)
 //
-// The bench matrix is not part of -exp all: it is a machine-speed
-// measurement, regenerated on demand with `-exp bench [-out path]`.
+// Performance is measured by the end-to-end benchmark (bash
+// benchmark/run.sh) and the go test benchmarks beside the code, not
+// here.
 package main
 
 import (
@@ -38,9 +38,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: e1..e13, a1, a3, bench, reuse, or all")
-	benchOut := flag.String("out", "BENCH_8.json", "output path for the -exp bench scenario matrix")
-	quick := flag.Bool("quick", false, "shrink -exp bench to a seconds-long smoke (small instances, fewer samples)")
+	exp := flag.String("exp", "all", "experiment id: e1..e13, a1, a3, or all")
 	flag.Parse()
 	all := map[string]func(){
 		"e1": e1Table1, "e2": e2RoundsVsDelta, "e3": e3RoundsVsW,
@@ -49,10 +47,6 @@ func main() {
 		"e10": e10BroadcastVC, "e11": e11Frucht, "e12": e12Engines,
 		"e13": e13SelfStab,
 		"a1":  a1PhaseBreakdown, "a3": a3EarlyExit,
-		"bench":     func() { benchMatrix(*benchOut, *quick) },
-		"reuse":     func() { var f benchFile; solverReuseRows(&f, *quick) },
-		"fleet":     func() { var f benchFile; fleetRows(&f, *quick) },
-		"straggler": func() { var f benchFile; stragglerRows(&f, *quick) },
 	}
 	if *exp == "all" {
 		for _, id := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "a1", "a3"} {
@@ -369,7 +363,7 @@ func e7Figure2() {
 		}
 		final[i] = colour.WeakSixToFour(int(cols[i].Int64()), ell)
 	}
-	fmt.Printf("after 6→4 table step: colours %v (palette 4; paper reaches 3 — see DESIGN.md)\n", final)
+	fmt.Printf("after 6→4 table step: colours %v (palette 4; paper reaches 3 — see README.md)\n", final)
 	ok := true
 	for i := 1; i < n; i++ {
 		if final[i] == final[i-1] {

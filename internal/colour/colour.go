@@ -148,7 +148,7 @@ func CVRounds(maxBits int) int {
 //
 // The paper asserts a weak 3-colouring at this point without giving the
 // final step; we use this provably-correct 4-colour variant (see
-// DESIGN.md, "Honest deviations").
+// README.md, "Deviations from the paper").
 var weakOut = [6]uint8{
 	0b0011, // t=0: Out {0,1}
 	0b1100, // t=1: Out {2,3}

@@ -141,11 +141,21 @@ func slabCarve[T any](slab *[]T, n int) []T {
 }
 
 // reset re-arms the arena for a new run over the same program.  The
-// current slabs are truncated and rewritten from the start; callers
-// must only reset once every pointer handed out in the previous run is
-// unreachable (ProgramPool guarantees it: the pooled program is reused
-// only after its run's Result has been assembled).
+// current slabs are cleared, truncated and rewritten from the start;
+// callers must only reset once every pointer handed out in the previous
+// run is unreachable (ProgramPool guarantees it: the pooled program is
+// reused only after its run's Result has been assembled).  Clearing the
+// used prefix keeps every entry past a slab's length zero, so a pooled
+// program never holds an earlier run's rationals or relay slabs live.
 func (a *msgArena) reset() {
+	clear(a.ys)
+	clear(a.rs)
+	clear(a.xs)
+	clear(a.ps)
+	clear(a.ts)
+	clear(a.cs)
+	clear(a.ws)
+	clear(a.cls)
 	a.ys, a.rs, a.xs, a.ps = a.ys[:0], a.rs[:0], a.xs[:0], a.ps[:0]
 	a.ts, a.cs, a.ws, a.cls = a.ts[:0], a.cs[:0], a.ws[:0], a.cls[:0]
 }

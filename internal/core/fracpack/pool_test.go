@@ -1,6 +1,7 @@
 package fracpack
 
 import (
+	"reflect"
 	"testing"
 
 	"anoncover/internal/bipartite"
@@ -157,6 +158,62 @@ func TestProgramPoolWeightRebind(t *testing.T) {
 			if !got.Y[u].Equal(ref.Y[u]) {
 				t.Fatalf("seed %d: element %d packing diverges", seed, u)
 			}
+		}
+	}
+}
+
+// TestArenaResetDropsStalePayloads: after a large run, a reset and a
+// smaller run, no message-arena slab may hold anything past its length.
+// A stale entry there keeps an earlier run's rationals and abandoned
+// relay slabs reachable for as long as the pooled program lives.
+func TestArenaResetDropsStalePayloads(t *testing.T) {
+	large := bipartite.Random(40, 70, 3, 6, 1000, 5)
+	small := bipartite.Random(40, 70, 2, 4, 9, 6)
+	pool := &ProgramPool{}
+	MustRun(large, Options{Programs: pool})
+
+	// The pool matches by node count, so Get resets the large run's
+	// programs for the small instance.
+	params := sim.BipartiteParams(small)
+	subs, elems := pool.Get(small, sim.BipartiteEnvs(small, params))
+	progs := make([]sim.BroadcastProgram, small.N())
+	for v := range progs {
+		if small.IsSubset(v) {
+			progs[v] = subs[v]
+		} else {
+			progs[v] = elems[small.ElementIndex(v)]
+		}
+	}
+	if _, err := sim.RunBroadcast(small, progs, Rounds(params), sim.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	arenas := make([]*msgArena, 0, small.N())
+	for _, p := range subs {
+		arenas = append(arenas, &p.ar)
+	}
+	for _, p := range elems {
+		arenas = append(arenas, &p.ar)
+	}
+	for i, a := range arenas {
+		zeroTail(t, i, "ys", a.ys)
+		zeroTail(t, i, "rs", a.rs)
+		zeroTail(t, i, "xs", a.xs)
+		zeroTail(t, i, "ps", a.ps)
+		zeroTail(t, i, "ts", a.ts)
+		zeroTail(t, i, "cs", a.cs)
+		zeroTail(t, i, "ws", a.ws)
+		zeroTail(t, i, "cls", a.cls)
+	}
+}
+
+// zeroTail reports the first non-zero entry of a slab past its length.
+func zeroTail[T any](t *testing.T, prog int, name string, s []T) {
+	t.Helper()
+	tail := s[len(s):cap(s)]
+	for i := range tail {
+		if !reflect.ValueOf(&tail[i]).Elem().IsZero() {
+			t.Errorf("program %d: slab %s holds a stale entry at %d (len %d)", prog, name, len(s)+i, len(s))
+			return
 		}
 	}
 }

@@ -56,7 +56,7 @@ type Shard struct {
 	// A broadcast node writes one message to every port, so port
 	// positions don't matter and cut entries need no slots here at all
 	// — receivers pull them from the published per-node values through
-	// HaloIn.SrcNode.  This keeps hub-heavy sends from scanning route
+	// HaloIn.SrcVal.  This keeps hub-heavy sends from scanning route
 	// entries they will never store through.
 	BRoute []int32
 	BOff   []int32
