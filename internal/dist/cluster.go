@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"anoncover/internal/graph"
 	"anoncover/internal/obs"
 	"anoncover/internal/shard"
 	"anoncover/internal/sim"
@@ -81,18 +80,6 @@ func (c *Cluster) RunBroadcast(top sim.Topology, progs []sim.BroadcastProgram, r
 	return c.run(top, nil, progs, rounds, opt)
 }
 
-// flattenTop mirrors sim's topology resolution: reuse a pre-flattened
-// or pre-sharded view, flatten otherwise.
-func flattenTop(top sim.Topology) (*graph.FlatTopology, error) {
-	switch t := top.(type) {
-	case *graph.FlatTopology:
-		return t, nil
-	case *shard.Topology:
-		return t.Flat(), nil
-	}
-	return graph.Flatten(top)
-}
-
 func (c *Cluster) run(top sim.Topology, port []sim.PortProgram, bcast []sim.BroadcastProgram,
 	rounds int, opt sim.Options) (sim.Stats, error) {
 
@@ -103,7 +90,7 @@ func (c *Cluster) run(top sim.Topology, port []sim.PortProgram, bcast []sim.Broa
 	if pre, ok := top.(*shard.Topology); ok && pre.K() <= c.workers {
 		st = pre
 	} else {
-		ft, err := flattenTop(top)
+		ft, err := shard.Flat(top)
 		if err != nil {
 			return sim.Stats{}, err
 		}
@@ -118,25 +105,21 @@ func (c *Cluster) run(top sim.Topology, port []sim.PortProgram, bcast []sim.Broa
 	runID := c.nextID.Add(1)
 	c.mx.Runs.Add(1)
 
-	plans := make([]*ShardPlan, k)
-	for s := 0; s < k; s++ {
-		plans[s] = planFor(st, s)
-	}
-
 	rs := newRunState()
 	stages := make([]*staging, k)
 	segIdx := make([]map[int32]int, k)
 	waits := make([][]*PairWait, k)
 	for s := 0; s < k; s++ {
-		stages[s] = newStaging(len(plans[s].In))
-		segIdx[s] = make(map[int32]int, len(plans[s].In))
-		for si, in := range plans[s].In {
+		sh := &st.Shards[s]
+		stages[s] = newStaging(len(sh.In))
+		segIdx[s] = make(map[int32]int, len(sh.In))
+		for si, in := range sh.In {
 			segIdx[s][in.Src] = si
 			waits[s] = append(waits[s], c.mx.pairWait(in.Src, int32(s)))
 		}
 	}
 
-	peers, cleanup, err := c.dialMesh(plans, runID, timeout)
+	peers, cleanup, err := c.dialMesh(st, runID, timeout)
 	if err != nil {
 		c.mx.RunErrors.Add(1)
 		return sim.Stats{}, err
@@ -160,8 +143,10 @@ func (c *Cluster) run(top sim.Topology, port []sim.PortProgram, bcast []sim.Broa
 
 	execs := make([]*shardExec, k)
 	for s := 0; s < k; s++ {
+		sh := &st.Shards[s]
 		e := &shardExec{
-			plan:  plans[s],
+			id:    int32(s),
+			sh:    sh,
 			peers: peers[s],
 			runID: runID,
 
@@ -181,13 +166,13 @@ func (c *Cluster) run(top sim.Topology, port []sim.PortProgram, bcast []sim.Broa
 			e.trace = obs.NewShardTrace(int32(s), rounds, 0)
 		}
 		if port != nil {
-			e.port = make([]sim.PortProgram, len(plans[s].Nodes))
-			for i, v := range plans[s].Nodes {
+			e.port = make([]sim.PortProgram, len(sh.Nodes))
+			for i, v := range sh.Nodes {
 				e.port[i] = port[v]
 			}
 		} else {
-			e.bcast = make([]sim.BroadcastProgram, len(plans[s].Nodes))
-			for i, v := range plans[s].Nodes {
+			e.bcast = make([]sim.BroadcastProgram, len(sh.Nodes))
+			for i, v := range sh.Nodes {
 				e.bcast[i] = bcast[v]
 			}
 		}
@@ -272,18 +257,18 @@ func (c *Cluster) readLoop(self, peer int32, fc *frameConn, runID uint32,
 // dialMesh builds the per-run connection mesh: one real TCP connection
 // per adjacent shard pair, dialer = lower id, identified by an
 // fPeerHello frame.  peers[s][t] is shard s's endpoint for peer t.
-func (c *Cluster) dialMesh(plans []*ShardPlan, runID uint32, timeout time.Duration) (
+func (c *Cluster) dialMesh(st *shard.Topology, runID uint32, timeout time.Duration) (
 	peers []map[int32]*frameConn, cleanup func(), err error) {
 
-	k := len(plans)
+	k := st.K()
 	peers = make([]map[int32]*frameConn, k)
 	for s := range peers {
 		peers[s] = make(map[int32]*frameConn)
 	}
 	type pair struct{ lo, hi int32 }
 	want := map[pair]bool{}
-	for s, p := range plans {
-		for _, t := range p.peerSet() {
+	for s := range st.Shards {
+		for _, t := range peerSet(&st.Shards[s]) {
 			lo, hi := int32(s), t
 			if lo > hi {
 				lo, hi = hi, lo

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
@@ -468,7 +469,7 @@ func (c *Coordinator) Compile(algo string, top sim.Topology, weights []int64, ki
 	if len(c.addrs) == 0 {
 		return nil, errors.New("dist: coordinator has no workers")
 	}
-	ft, err := flattenTop(top)
+	ft, err := shard.Flat(top)
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +503,7 @@ func (c *Coordinator) Compile(algo string, top sim.Topology, weights []int64, ki
 			Self:    int32(w),
 			Peers:   c.addrs[:k],
 			Params:  params,
-			Shard:   *planFor(st, w),
+			Shard:   st.Shards[w],
 		}
 		s.nodes[w] = plan.Shard.Nodes
 		plan.Weights = make([]int64, len(plan.Shard.Nodes))
@@ -717,19 +718,28 @@ func (s *Session) Run(ctx context.Context, opt RunOptions) (*RunResult, error) {
 
 	// Prepare: every worker installs fresh programs and staging.
 	// Preparing is idempotent until the run launches, so transient
-	// transport failures retry; fGo below never does.
+	// transport failures retry; fGo below never does.  The first
+	// failure cancels the other prepares: a worker waiting for a peer
+	// that lost the session would otherwise hold the run until its
+	// frame timeout.
 	prep := s.sessionPayload(spec)
 	prepare := func() error {
-		for _, r := range phase(func(w int) (frame, error) {
-			f, _, err := s.c.requestRetry(ctx, w, &frame{typ: fStart, run: runID, payload: prep},
+		pctx, cancel := context.WithCancel(cmp.Or(ctx, context.Background()))
+		defer cancel()
+		var first error
+		var once sync.Once
+		phase(func(w int) (frame, error) {
+			f, _, err := s.c.requestRetry(pctx, w, &frame{typ: fStart, run: runID, payload: prep},
 				3*s.c.timeout(), fReady)
-			return f, err
-		}) {
-			if r.err != nil {
-				return fmt.Errorf("dist: preparing run on worker %s: %w", s.c.addrs[r.w], r.err)
+			if err != nil {
+				once.Do(func() {
+					first = fmt.Errorf("dist: preparing run on worker %s: %w", s.c.addrs[w], err)
+					cancel()
+				})
 			}
-		}
-		return nil
+			return f, err
+		})
+		return first
 	}
 	if err := prepare(); err != nil {
 		if !errors.Is(err, errWorkerRejected) {
@@ -745,7 +755,7 @@ func (s *Session) Run(ctx context.Context, opt RunOptions) (*RunResult, error) {
 		// plans, and the retried prepare lands on restored state.
 		if ierr := s.ensureInstalled(ctx); ierr != nil {
 			emptyTrace()
-			return fail(err)
+			return fail(errors.Join(err, ierr))
 		}
 		if err := prepare(); err != nil {
 			emptyTrace()
@@ -936,7 +946,7 @@ func (s *Session) UpdateWeights(weights []int64, params sim.Params) error {
 			return err
 		}
 		if ierr := s.ensureInstalled(nil); ierr != nil {
-			return err
+			return errors.Join(err, ierr)
 		}
 		if err := broadcast(); err != nil {
 			return err

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"anoncover/internal/obs"
+	"anoncover/internal/shard"
 	"anoncover/internal/sim"
 )
 
@@ -163,15 +165,16 @@ func (st *staging) doneRound(round int) {
 	st.mu.Unlock()
 }
 
-// shardExec executes one shard of one run: the sharded engine's round
-// loop with the halo exchange replaced by frames.  One goroutine per
-// shard; all fields are set before run() and constant during it.
+// shardExec executes one shard of one run: sim's ShardStep with the
+// halo exchange carried as frames.  One goroutine per shard; all fields
+// are set before run() and constant during it.
 type shardExec struct {
-	plan  *ShardPlan
+	id    int32
+	sh    *shard.Shard
 	peers map[int32]*frameConn // data conns, keyed by peer shard id
 	runID uint32
 
-	port  []sim.PortProgram      // local order (plan.Nodes), port model
+	port  []sim.PortProgram      // local order (sh.Nodes), port model
 	bcast []sim.BroadcastProgram // local order, broadcast model
 
 	rounds       int
@@ -193,46 +196,20 @@ type shardExec struct {
 	trace                              *obs.ShardTrace
 	hCompute, hSerialize, hWait, hSend *obs.Histogram
 
-	// Wire-path decision, taken by sim.PlanWire exactly as the
-	// in-process kernel takes it.  Programs are uniform across nodes,
-	// so every shard reaches the same verdict and the cluster stays in
-	// lockstep on the path taken.
-	wire sim.WirePlan
-
 	msgs, bytes int64
 }
 
 // run executes the shard's rounds.  On any failure the shared runState
 // carries the authoritative error; the return value echoes it.
 func (e *shardExec) run() error {
-	p := e.plan
-	inboxLen := p.inboxLen()
-	maxDeg := 0
-	for i := range p.Nodes {
-		if d := int(p.Off[i+1] - p.Off[i]); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	e.wire = sim.PlanWire(e.port, e.rounds, e.noWire)
-
-	var inbox []sim.Message
-	var halo [2][]sim.Message
-	var inboxW []uint64
-	var haloW [2][]uint64
-	var outW, laneScratch []uint64
-	if e.wire.Codec == nil || e.wire.BoxedRounds {
-		inbox = make([]sim.Message, inboxLen)
-		halo[0] = make([]sim.Message, p.HaloOut)
-		halo[1] = make([]sim.Message, p.HaloOut)
-	}
-	if e.wire.Codec != nil {
-		inboxW = make([]uint64, e.wire.MaxW*inboxLen)
-		haloW[0] = make([]uint64, e.wire.MaxW*p.HaloOut)
-		haloW[1] = make([]uint64, e.wire.MaxW*p.HaloOut)
-		outW = make([]uint64, e.wire.MaxW*maxDeg)
-		laneScratch = make([]uint64, e.wire.MaxW*inboxLen)
-	}
+	p := e.sh
+	// The step takes its delivery path from the programs exactly as the
+	// in-process kernel does; programs are uniform across nodes, so
+	// every shard reaches the same verdict and the cluster stays in
+	// lockstep on the path taken.
+	step := sim.NewShardStep(p, e.port, e.bcast, e.rounds, e.noWire, e.scrambleSeed)
 	var flushBuf []byte
+	var src sim.Halo // one decoded incoming segment
 
 	var deadline time.Time
 	var hasDeadline bool
@@ -260,11 +237,6 @@ func (e *shardExec) run() error {
 			e.rs.fail(sim.ErrRoundBudget, prioSemantic)
 			return sim.ErrRoundBudget
 		}
-		curW := 0
-		if e.wire.Codec != nil {
-			curW = e.wire.Codec.WireWords(round)
-		}
-		gen := round & 1
 
 		rec := e.trace != nil && e.trace.Sample(round)
 		var computeNS, serializeNS, waitNS, sendNS int64
@@ -273,85 +245,16 @@ func (e *shardExec) run() error {
 			mark = time.Now()
 		}
 
-		// Send phase: step the shard's nodes, scattering local
-		// messages straight into the inbox and cut messages into this
-		// generation's halo-out buffer.
-		switch {
-		case e.bcast != nil:
-			// Broadcast always ships boxed between processes (the
-			// interned table is shared memory); the Stats fold is per
-			// node, identical to every other engine.
-			for i := range p.Nodes {
-				m := e.bcast[i].Send(round)
-				base, end := p.Off[i], p.Off[i+1]
-				for _, rt := range p.Route[base:end] {
-					if rt >= 0 {
-						inbox[rt] = m
-					} else {
-						halo[gen][^rt] = m
-					}
-				}
-				if m != nil {
-					deg := int64(end - base)
-					e.msgs += deg
-					if sz, ok := m.(sim.Sizer); ok {
-						e.bytes += deg * int64(sz.WireSize())
-					}
-				}
-			}
-		case curW > 0:
-			hw := haloW[gen]
-			for i := range p.Nodes {
-				base := p.Off[i]
-				deg := int(p.Off[i+1] - base)
-				lanes := outW[:deg*curW]
-				m, b, ok := e.wire.Progs[i].SendWire(round, lanes)
-				if !ok {
-					// A lane could not hold its value; receivers would
-					// decode garbage, so nothing is flushed and the
-					// caller reruns boxed (sim.ErrWireOverflow).
-					e.rs.fail(sim.ErrWireOverflow, prioSemantic)
-					return sim.ErrWireOverflow
-				}
-				e.msgs += m
-				e.bytes += b
-				routes := p.Route[base:p.Off[i+1]]
-				for pt, rt := range routes {
-					if lanes[curW*pt] == 0 {
-						continue // idle lane, see WirePortProgram
-					}
-					lane := lanes[curW*pt : curW*pt+curW]
-					if rt >= 0 {
-						copy(inboxW[curW*int(rt):], lane)
-					} else {
-						copy(hw[curW*int(^rt):], lane)
-					}
-				}
-			}
-		default:
-			for i := range p.Nodes {
-				out := e.port[i].Send(round)
-				base := p.Off[i]
-				if int32(len(out)) != p.Off[i+1]-base {
-					panic(fmt.Sprintf("dist: node %d sent %d messages, degree %d",
-						p.Nodes[i], len(out), p.Off[i+1]-base))
-				}
-				routes := p.Route[base:p.Off[i+1]]
-				for pt, m := range out {
-					if rt := routes[pt]; rt >= 0 {
-						inbox[rt] = m
-					} else {
-						halo[gen][^rt] = m
-					}
-					if m != nil {
-						e.msgs++
-						if sz, ok := m.(sim.Sizer); ok {
-							e.bytes += int64(sz.WireSize())
-						}
-					}
-				}
-			}
+		msgs, bytes, err := step.Send(round)
+		if err != nil {
+			// A lane could not hold its value; receivers would decode
+			// garbage, so nothing is flushed and the caller reruns boxed.
+			e.rs.fail(err, prioSemantic)
+			return err
 		}
+		e.msgs += msgs
+		e.bytes += bytes
+		w := step.Width()
 
 		if rec {
 			now := time.Now()
@@ -363,20 +266,19 @@ func (e *shardExec) run() error {
 		// ship the raw lane words verbatim (stale words included —
 		// round stamps make them inert); boxed rounds ship a sparse
 		// gob of the non-nil messages.
-		wireData := curW > 0 && e.bcast == nil
+		out := step.HaloOut(round)
 		for _, sg := range p.Out {
 			f := frame{
-				src: uint16(p.ID), dst: uint16(sg.Dst),
+				src: uint16(e.id), dst: uint16(sg.Dst),
 				run: e.runID, round: uint32(round),
 			}
-			if wireData {
+			if w > 0 {
 				f.typ = fLanes
-				flushBuf = lanesToBytes(flushBuf[:0],
-					haloW[gen][curW*int(sg.Off):curW*int(sg.Off+sg.Len)])
+				flushBuf = lanesToBytes(flushBuf[:0], out.Words[w*int(sg.Off):w*int(sg.Off+sg.Len)])
 				f.payload = flushBuf
 			} else {
 				f.typ = fBoxed
-				pl, err := encodeBoxed(halo[gen][sg.Off : sg.Off+sg.Len])
+				pl, err := encodeBoxed(out.Msgs[sg.Off : sg.Off+sg.Len])
 				if err != nil {
 					e.rs.fail(err, prioSemantic)
 					return err
@@ -390,13 +292,13 @@ func (e *shardExec) run() error {
 			}
 			pc := e.peers[sg.Dst]
 			if pc == nil {
-				err := fmt.Errorf("dist: shard %d has no connection to peer %d", p.ID, sg.Dst)
+				err := fmt.Errorf("dist: shard %d has no connection to peer %d", e.id, sg.Dst)
 				e.rs.fail(err, prioIO)
 				return err
 			}
 			if err := pc.write(&f); err != nil {
 				err = fmt.Errorf("dist: shard %d sending round %d to peer %d: %w",
-					p.ID, round, sg.Dst, err)
+					e.id, round, sg.Dst, err)
 				e.rs.fail(err, prioIO)
 				return err
 			}
@@ -418,44 +320,16 @@ func (e *shardExec) run() error {
 			mark = now
 		}
 
-		// Apply the staged segments, then run the receive phase.
+		// Decode each staged segment and drain it into the inbox.
 		for si := range p.In {
 			in := &p.In[si]
 			typ, pl := e.stage.take(si, round)
-			if wireData {
-				if typ != fLanes {
-					err := fmt.Errorf("%w: segment from shard %d round %d: boxed frame on a wire round",
-						ErrBadFrame, in.Src, round)
-					e.rs.fail(err, prioIO)
-					return err
-				}
-				words := laneScratch[:curW*len(in.Slots)]
-				if err := bytesToLanes(words, pl); err != nil {
-					e.rs.fail(err, prioIO)
-					return err
-				}
-				for i, slot := range in.Slots {
-					copy(inboxW[curW*int(slot):curW*int(slot)+curW], words[curW*i:curW*i+curW])
-				}
-			} else {
-				if typ != fBoxed {
-					err := fmt.Errorf("%w: segment from shard %d round %d: wire frame on a boxed round",
-						ErrBadFrame, in.Src, round)
-					e.rs.fail(err, prioIO)
-					return err
-				}
-				bs, err := decodeBoxed(pl, len(in.Slots))
-				if err != nil {
-					e.rs.fail(err, prioIO)
-					return err
-				}
-				for _, slot := range in.Slots {
-					inbox[slot] = nil
-				}
-				for k, pos := range bs.Pos {
-					inbox[in.Slots[pos]] = bs.Msgs[k]
-				}
+			if err := decodeSeg(&src, typ, pl, w, len(in.Slots)); err != nil {
+				err = fmt.Errorf("dist: segment from shard %d round %d: %w", in.Src, round, err)
+				e.rs.fail(err, prioIO)
+				return err
 			}
+			step.Drain(si, src)
 		}
 		e.stage.doneRound(round)
 		if rec {
@@ -466,24 +340,7 @@ func (e *shardExec) run() error {
 			mark = now
 		}
 
-		switch {
-		case e.bcast != nil:
-			for i := range p.Nodes {
-				in := inbox[p.Off[i]:p.Off[i+1]]
-				if e.scrambleSeed != 0 {
-					sim.Scramble(in, e.scrambleSeed, int(p.Nodes[i]), round)
-				}
-				e.bcast[i].Recv(round, in)
-			}
-		case curW > 0:
-			for i := range p.Nodes {
-				e.wire.Progs[i].RecvWire(round, inboxW[curW*int(p.Off[i]):curW*int(p.Off[i+1])])
-			}
-		default:
-			for i := range p.Nodes {
-				e.port[i].Recv(round, inbox[p.Off[i]:p.Off[i+1]])
-			}
-		}
+		step.Recv(round)
 		if rec {
 			computeNS += time.Since(mark).Nanoseconds()
 			e.trace.Record(round, computeNS, serializeNS, waitNS, sendNS)
@@ -501,13 +358,39 @@ func (e *shardExec) run() error {
 	return e.rs.failure()
 }
 
+// decodeSeg decodes one staged segment payload of n slots into dst,
+// reusing dst's buffers: lanes of w words on a wire round, a dense
+// message slice (nil where the sparse frame has no entry) otherwise.
+func decodeSeg(dst *sim.Halo, typ byte, pl []byte, w, n int) error {
+	if w > 0 {
+		if typ != fLanes {
+			return fmt.Errorf("%w: boxed frame on a wire round", ErrBadFrame)
+		}
+		dst.Words = slices.Grow(dst.Words[:0], w*n)[:w*n]
+		return bytesToLanes(dst.Words, pl)
+	}
+	if typ != fBoxed {
+		return fmt.Errorf("%w: wire frame on a boxed round", ErrBadFrame)
+	}
+	bs, err := decodeBoxed(pl, n)
+	if err != nil {
+		return err
+	}
+	dst.Msgs = slices.Grow(dst.Msgs[:0], n)[:n]
+	clear(dst.Msgs)
+	for k, pos := range bs.Pos {
+		dst.Msgs[pos] = bs.Msgs[k]
+	}
+	return nil
+}
+
 // waitFrames blocks until every incoming segment has round r staged,
 // attributing the wait to the peers that were still missing when the
 // wait began.  It unblocks on frame arrival, run failure, context
 // cancellation, or the frame timeout — a peer that hangs (as opposed
 // to dying, which surfaces as a reader error) cannot wedge the run.
 func (e *shardExec) waitFrames(round int) error {
-	if len(e.plan.In) == 0 {
+	if len(e.sh.In) == 0 {
 		return nil
 	}
 	st := e.stage
@@ -566,7 +449,7 @@ func (e *shardExec) waitFrames(round int) error {
 			return err
 		case <-timeout:
 			err := fmt.Errorf("dist: shard %d timed out after %v waiting for round-%d frames from %s",
-				e.plan.ID, e.timeout, round, e.missingPeers(round))
+				e.id, e.timeout, round, e.missingPeers(round))
 			e.rs.fail(err, prioIO)
 			return err
 		}
@@ -583,7 +466,7 @@ func (e *shardExec) missingPeers(round int) string {
 			if s != "" {
 				s += ","
 			}
-			s += fmt.Sprintf("shard %d", e.plan.In[i].Src)
+			s += fmt.Sprintf("shard %d", e.sh.In[i].Src)
 		}
 	}
 	if s == "" {

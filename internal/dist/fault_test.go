@@ -164,17 +164,13 @@ func TestWorkerStaleGeneration(t *testing.T) {
 	defer w.Close()
 
 	g := graph.Grid(3, 3)
-	ft, err := flattenTop(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := shard.BuildK(ft, 1)
+	st := shard.BuildK(g.Flat(), 1)
 	mkPlan := func(gen uint64) *WorkerPlan {
 		plan := &WorkerPlan{
 			Session: 42, Gen: gen, Algo: "edgepack",
 			Workers: 1, Self: 0, Peers: []string{w.Addr()},
 			Params: sim.GraphParams(g),
-			Shard:  *planFor(st, 0),
+			Shard:  st.Shards[0],
 		}
 		plan.Weights = make([]int64, len(plan.Shard.Nodes))
 		plan.Kinds = make([]uint8, len(plan.Shard.Nodes))

@@ -1,11 +1,14 @@
 // Package dist executes one compiled instance across processes: the
 // sharded engine's partition (internal/shard) is split over a set of
-// workers, each of which owns one shard, executes rounds locally, and
-// exchanges halo messages at the phase barrier as length-prefixed TCP
-// frames — one frame per cut-edge block per round.  Synchronization is
-// per pair, not global: a worker blocks only on the peers it actually
-// shares cut edges with, tracked by a generation counter per incoming
-// segment (see staging).
+// workers, each of which owns one shard and runs sim's per-shard round
+// step (sim.ShardStep) on it — the step the in-process kernel runs.
+// This package is the step's second halo transport: where the kernel
+// hands a shard's halo-out buffer to its neighbours in memory, a worker
+// flushes it as length-prefixed TCP frames, one frame per cut-edge
+// block per round, and decodes each incoming frame into the segment it
+// drains.  Synchronization is per pair, not global: a worker blocks
+// only on the peers it actually shares cut edges with, tracked by a
+// generation counter per incoming segment (see staging).
 //
 // Two deployments share the one frame protocol and shard executor:
 //
@@ -15,14 +18,14 @@
 //     `go test`.
 //   - Coordinator/Worker run the same plan across OS processes for
 //     anoncoverd: the coordinator owns the partition and the request
-//     lifecycle, workers own shards and rebuild node programs from a
-//     shipped WorkerPlan.
+//     lifecycle, workers own shards, receive their shard.Shard in a
+//     WorkerPlan and rebuild node programs from it.
 //
 // Wire rounds travel verbatim: a frame's payload is the raw []uint64
 // lane segment, stale words included — the lane protocol's round
 // stamps (sim.WirePortProgram) make shipping them safe, exactly as the
-// in-memory sharded engine copies whole halo segments.  Rounds that
-// fall back to the boxed path travel as self-contained gob frames.
+// in-memory sharded engine copies whole halo segments.  Boxed rounds,
+// broadcast rounds among them, travel as self-contained gob frames.
 package dist
 
 import (

@@ -2,60 +2,16 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"anoncover/internal/obs"
 	"anoncover/internal/shard"
 	"anoncover/internal/sim"
 )
 
-// InSeg is the gob-portable image of one incoming halo segment: the
-// messages of the source shard's matching Out segment land, in order,
-// in these local inbox slots.
-type InSeg struct {
-	Src   int32
-	Slots []int32
-}
-
-// ShardPlan is one shard's routing state in a form that both the
-// loopback cluster (which borrows slices straight from a
-// shard.Topology) and a remote worker (which receives it by gob) can
-// execute.  Everything here is immutable during a run.
-type ShardPlan struct {
-	ID    int32
-	Nodes []int32 // owned global node ids, partition order
-	Off   []int32 // local CSR over Nodes
-	Route []int32 // per-half-edge routing, see shard.Topology
-
-	HaloOut int
-	Out     []shard.Seg
-	In      []InSeg
-}
-
-// planFor borrows shard s's routing view from a built topology.
-func planFor(st *shard.Topology, s int) *ShardPlan {
-	sh := &st.Shards[s]
-	p := &ShardPlan{
-		ID:    int32(s),
-		Nodes: sh.Nodes,
-		Off:   sh.Off,
-		Route: sh.Route,
-
-		HaloOut: sh.HaloOut,
-		Out:     sh.Out,
-	}
-	for i := range sh.In {
-		in := &sh.In[i]
-		p.In = append(p.In, InSeg{Src: in.Src, Slots: in.Slots})
-	}
-	return p
-}
-
-// inboxLen is the shard's half-edge count.
-func (p *ShardPlan) inboxLen() int { return int(p.Off[len(p.Nodes)]) }
-
-// peerSet returns the ids of every shard this plan exchanges frames
-// with, in ascending order.
-func (p *ShardPlan) peerSet() []int32 {
+// peerSet returns the ids of every shard sh exchanges frames with, in
+// ascending order.
+func peerSet(sh *shard.Shard) []int32 {
 	seen := map[int32]bool{}
 	var out []int32
 	add := func(id int32) {
@@ -64,51 +20,48 @@ func (p *ShardPlan) peerSet() []int32 {
 			out = append(out, id)
 		}
 	}
-	for _, sg := range p.Out {
+	for _, sg := range sh.Out {
 		add(sg.Dst)
 	}
-	for _, in := range p.In {
+	for _, in := range sh.In {
 		add(in.Src)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
-// validate rejects a plan whose internal structure is inconsistent —
-// a remote worker runs it on everything that arrives by gob, so a
-// corrupted or adversarial plan fails here instead of as an index
-// panic mid-run.
-func (p *ShardPlan) validate(workers int) error {
-	if p.ID < 0 || int(p.ID) >= workers {
-		return fmt.Errorf("dist: plan shard id %d outside %d workers", p.ID, workers)
+// validate rejects a plan whose shard is inconsistent in any field the
+// shard step or the transport indexes with — a remote worker runs it on
+// everything that arrives by gob, so a corrupted or adversarial plan
+// fails here instead of as an index panic mid-run.
+func (p *WorkerPlan) validate() error {
+	sh := &p.Shard
+	if p.Self < 0 || int(p.Self) >= p.Workers || len(p.Peers) != p.Workers {
+		return fmt.Errorf("dist: plan shard %d of %d workers with %d peer addresses", p.Self, p.Workers, len(p.Peers))
 	}
-	if len(p.Off) != len(p.Nodes)+1 || len(p.Off) == 0 || p.Off[0] != 0 {
-		return fmt.Errorf("dist: plan CSR malformed: %d nodes, %d offsets", len(p.Nodes), len(p.Off))
+	if len(sh.Off) != len(sh.Nodes)+1 || sh.Off[0] != 0 {
+		return fmt.Errorf("dist: plan CSR malformed: %d nodes, %d offsets", len(sh.Nodes), len(sh.Off))
 	}
-	for i := 1; i < len(p.Off); i++ {
-		if p.Off[i] < p.Off[i-1] {
+	for i := 1; i < len(sh.Off); i++ {
+		if sh.Off[i] < sh.Off[i-1] {
 			return fmt.Errorf("dist: plan CSR offsets decrease at %d", i)
 		}
 	}
-	inbox := p.inboxLen()
-	if len(p.Route) != inbox {
-		return fmt.Errorf("dist: plan route table %d entries for %d half-edges", len(p.Route), inbox)
+	inbox := sh.InboxLen()
+	if len(sh.Route) != inbox {
+		return fmt.Errorf("dist: plan route table %d entries for %d half-edges", len(sh.Route), inbox)
 	}
-	for j, rt := range p.Route {
+	for j, rt := range sh.Route {
 		if rt >= 0 && int(rt) >= inbox {
 			return fmt.Errorf("dist: route %d -> local slot %d beyond inbox %d", j, rt, inbox)
 		}
-		if rt < 0 && int(^rt) >= p.HaloOut {
-			return fmt.Errorf("dist: route %d -> halo slot %d beyond halo-out %d", j, ^rt, p.HaloOut)
+		if rt < 0 && int(^rt) >= sh.HaloOut {
+			return fmt.Errorf("dist: route %d -> halo slot %d beyond halo-out %d", j, ^rt, sh.HaloOut)
 		}
 	}
 	covered := 0
-	for i, sg := range p.Out {
-		if sg.Dst < 0 || int(sg.Dst) >= workers || sg.Dst == p.ID {
+	for i, sg := range sh.Out {
+		if sg.Dst < 0 || int(sg.Dst) >= p.Workers || sg.Dst == p.Self {
 			return fmt.Errorf("dist: out segment %d bound for shard %d", i, sg.Dst)
 		}
 		if int(sg.Off) != covered || sg.Len < 0 {
@@ -116,11 +69,11 @@ func (p *ShardPlan) validate(workers int) error {
 		}
 		covered += int(sg.Len)
 	}
-	if covered != p.HaloOut {
-		return fmt.Errorf("dist: out segments cover %d of %d halo-out slots", covered, p.HaloOut)
+	if covered != sh.HaloOut {
+		return fmt.Errorf("dist: out segments cover %d of %d halo-out slots", covered, sh.HaloOut)
 	}
-	for i, in := range p.In {
-		if in.Src < 0 || int(in.Src) >= workers || in.Src == p.ID {
+	for i, in := range sh.In {
+		if in.Src < 0 || int(in.Src) >= p.Workers || in.Src == p.Self {
 			return fmt.Errorf("dist: in segment %d sourced from shard %d", i, in.Src)
 		}
 		for _, slot := range in.Slots {
@@ -149,14 +102,16 @@ type WorkerPlan struct {
 	Gen     uint64
 	Algo    string
 	Workers int      // effective shard count
-	Self    int32    // == Shard.ID
+	Self    int32    // the shard's id
 	Peers   []string // listen address per shard id; Peers[Self] unused
 
 	Params  sim.Params
 	Weights []int64 // per local node, Nodes order
 	Kinds   []uint8 // per local node, sim.NodeKind
 
-	Shard ShardPlan
+	// Shard is the worker's shard of the coordinator's partition, as
+	// shard.Build laid it out.
+	Shard shard.Shard
 }
 
 // StartSpec is the per-run fStart payload.

@@ -323,7 +323,15 @@ func (w *Worker) controlLoop(fc *frameConn) {
 		case fSetup:
 			w.handleSetup(fc, &f)
 		case fStart:
-			w.handleStart(fc, &f)
+			// A prepare can wait up to the frame timeout for peers to
+			// dial; a peer that restarted without the session never
+			// will.  Waiting off the loop keeps pings, aborts and the
+			// re-install that ends the wait answerable meanwhile.
+			w.wg.Add(1)
+			go func() {
+				defer w.wg.Done()
+				w.handleStart(fc, &f)
+			}()
 		case fGo:
 			w.handleGo(fc, &f)
 		case fAbort:
@@ -348,11 +356,7 @@ func (w *Worker) handleSetup(fc *frameConn, f *frame) {
 		sendErr(fc, f.run, ecBadRequest, "undecodable plan: "+err.Error())
 		return
 	}
-	if plan.Self != plan.Shard.ID || len(plan.Peers) != plan.Workers {
-		sendErr(fc, f.run, ecBadRequest, "plan self/peers inconsistent")
-		return
-	}
-	if err := plan.Shard.validate(plan.Workers); err != nil {
+	if err := plan.validate(); err != nil {
 		sendErr(fc, f.run, ecBadRequest, err.Error())
 		return
 	}
@@ -428,7 +432,7 @@ func (w *Worker) handleSetup(fc *frameConn, f *frame) {
 	}
 	// Dial the higher-numbered peers this shard exchanges frames with;
 	// lower-numbered ones dial us.
-	for _, peer := range s.plan.Shard.peerSet() {
+	for _, peer := range peerSet(&s.plan.Shard) {
 		if peer < plan.Self {
 			continue
 		}
@@ -566,7 +570,8 @@ func (w *Worker) handleClose(fc *frameConn, f *frame) {
 type wsession struct {
 	w      *Worker
 	plan   WorkerPlan
-	peerOK chan struct{} // pulsed when a peer attaches
+	peerOK chan struct{} // pulsed when a peer attaches or the session is torn down
+	prep   sync.Mutex    // serializes prepares (a retried fStart waits for the first)
 
 	mu        sync.Mutex
 	weights   []int64
@@ -673,7 +678,7 @@ func (s *wsession) peerReadLoop(peer int32, fc *frameConn) {
 
 // waitPeers blocks until every expected peer connection is attached.
 func (s *wsession) waitPeers(deadline time.Time) error {
-	want := s.plan.Shard.peerSet()
+	want := peerSet(&s.plan.Shard)
 	for {
 		s.mu.Lock()
 		missing := int32(-1)
@@ -704,10 +709,12 @@ func (s *wsession) waitPeers(deadline time.Time) error {
 // prepare installs a fresh run: programs rebuilt from the current
 // weights, staging reset, peers verified.
 func (s *wsession) prepare(run uint32, spec *StartSpec) error {
+	s.prep.Lock()
+	defer s.prep.Unlock()
 	// Heal the mesh first: re-dial any higher-numbered peer whose
 	// connection died since the last run; lower-numbered peers re-dial
 	// us from their own prepare by the same rule.
-	for _, peer := range s.plan.Shard.peerSet() {
+	for _, peer := range peerSet(&s.plan.Shard) {
 		if peer < s.plan.Self {
 			continue
 		}
@@ -754,7 +761,8 @@ func (s *wsession) prepare(run uint32, spec *StartSpec) error {
 		peers[id] = fc
 	}
 	exec := &shardExec{
-		plan:  &s.plan.Shard,
+		id:    s.plan.Self,
+		sh:    &s.plan.Shard,
 		peers: peers,
 		runID: run,
 
@@ -801,8 +809,8 @@ func runTag(tag string, run uint32) string {
 
 // segOf maps a source shard to its In-segment index.
 func (e *shardExec) segOf(src int32) (int, bool) {
-	for si := range e.plan.In {
-		if e.plan.In[si].Src == src {
+	for si := range e.sh.In {
+		if e.sh.In[si].Src == src {
 			return si, true
 		}
 	}
@@ -858,7 +866,7 @@ func (s *wsession) launch(ctrl *frameConn, run uint32) {
 		s.w.log("run finished",
 			"run_id", tag, "session", s.plan.Session, "shard", s.plan.Self,
 			"generation", s.plan.Gen, "rounds", exec.rounds)
-		outs := make([]any, len(exec.plan.Nodes))
+		outs := make([]any, len(exec.sh.Nodes))
 		if exec.port != nil {
 			for i, p := range exec.port {
 				outs[i] = p.Output()
@@ -935,6 +943,10 @@ func (s *wsession) teardown(reason error) {
 	peers := s.peers
 	s.peers = map[int32]*frameConn{}
 	s.mu.Unlock()
+	select {
+	case s.peerOK <- struct{}{}: // end a waitPeers now
+	default:
+	}
 	if rs != nil {
 		rs.fail(reason, prioIO)
 	}

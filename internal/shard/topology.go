@@ -51,15 +51,6 @@ type Shard struct {
 	// Route maps the shard's own outgoing half-edges (same CSR
 	// indexing as Off) to destination slots; see the Topology contract.
 	Route []int32
-	// BRoute/BOff are the broadcast-model scatter: node i's local
-	// (same-shard) destination slots are BRoute[BOff[i]:BOff[i+1]].
-	// A broadcast node writes one message to every port, so port
-	// positions don't matter and cut entries need no slots here at all
-	// — receivers pull them from the published per-node values through
-	// HaloIn.SrcVal.  This keeps hub-heavy sends from scanning route
-	// entries they will never store through.
-	BRoute []int32
-	BOff   []int32
 	// ValBase places the shard's nodes in a run's flat per-node value
 	// table: the value Nodes[i] publishes in a broadcast round lives at
 	// ValBase+i.  Shards tile [0, N) in shard order, so each shard
@@ -72,8 +63,7 @@ type Shard struct {
 	// the broadcast model the sender of a slot is a static property of
 	// the topology, so engines that intern each node's per-round value
 	// (the wire path) deliver by gathering BSrc[slot] from the value
-	// table — replacing both the dense BRoute scatter and the ghost-cell
-	// halo drain with one indexed read per slot.
+	// table, with no per-slot scatter and no halo drain.
 	BSrc []int32
 	// HaloOut is the size of the shard's halo-out buffer.
 	HaloOut int
@@ -107,14 +97,10 @@ func (s *Shard) InboxLen() int { return int(s.Off[len(s.Nodes)]) }
 // shard's inbox at Slots.
 //
 // SrcVal additionally records, per message, the value-table position
-// (see Shard.ValBase) of the node that sent it.  Broadcast-model
-// engines use it to run the halo exchange in ghost-cell style: a
-// sending shard publishes one value per node (every port carries the
-// same message in the broadcast model, so per-edge halo-out slots would
-// all repeat it), and the receiving shard pulls the published value
-// through SrcVal instead of draining a per-edge buffer.  Port-model
-// engines, where each port's message differs, use the per-edge
-// halo-out buffer and ignore SrcVal.
+// (see Shard.ValBase) of the node that sent it.  The interned broadcast
+// path, which publishes one value per node instead of filling per-edge
+// halo-out slots, reads it to find which cut-edge receivers a non-nil
+// value wakes; every other path drains the per-edge halo-out buffer.
 type HaloIn struct {
 	Src    int32
 	Lo     int32
@@ -202,7 +188,6 @@ func Build(ft *graph.FlatTopology, p *Partition) *Topology {
 	// and back-patched below once the segment order is settled.
 	for s := 0; s < k; s++ {
 		sh := &st.Shards[s]
-		sh.BOff = make([]int32, len(sh.Nodes)+1)
 		j := 0
 		for i, v := range sh.Nodes {
 			for g := ft.Off(int(v)); g < ft.Off(int(v)+1); g++ {
@@ -216,7 +201,6 @@ func Build(ft *graph.FlatTopology, p *Partition) *Topology {
 				st.Shards[t].BSrc[dst] = val
 				if t == int32(s) {
 					sh.Route[j] = dst
-					sh.BRoute = append(sh.BRoute, dst)
 				} else {
 					sg := segs[s][t]
 					sg.entries = append(sg.entries,
@@ -224,7 +208,6 @@ func Build(ft *graph.FlatTopology, p *Partition) *Topology {
 				}
 				j++
 			}
-			sh.BOff[i+1] = int32(len(sh.BRoute))
 		}
 	}
 
@@ -260,6 +243,18 @@ func Build(ft *graph.FlatTopology, p *Partition) *Topology {
 // one call.
 func BuildK(ft *graph.FlatTopology, k int) *Topology {
 	return Build(ft, New(ft, k))
+}
+
+// Flat returns top's CSR view: top itself when it is one, the view a
+// sharded topology was built over, and a fresh flattening otherwise.
+func Flat(top graph.PortSource) (*graph.FlatTopology, error) {
+	switch t := top.(type) {
+	case *graph.FlatTopology:
+		return t, nil
+	case *Topology:
+		return t.ft, nil
+	}
+	return graph.Flatten(top)
 }
 
 // K returns the number of shards.
@@ -384,55 +379,6 @@ func (st *Topology) Validate() error {
 		}
 		owner = append(owner, sh.Nodes...)
 	}
-	// The broadcast scatter path: writing each node's id through its
-	// dense local slot list, then pulling published values through
-	// SrcVal, must attribute every inbox slot to the global node on
-	// the far side of its half-edge.
-	for s := range st.Shards {
-		sh := &st.Shards[s]
-		if len(sh.BOff) != len(sh.Nodes)+1 {
-			return fmt.Errorf("shard %d: BOff covers %d nodes, want %d", s, len(sh.BOff)-1, len(sh.Nodes))
-		}
-		for i := range inboxes[s] {
-			inboxes[s][i] = -1
-		}
-	}
-	for s := range st.Shards {
-		sh := &st.Shards[s]
-		for i, v := range sh.Nodes {
-			for _, rt := range sh.BRoute[sh.BOff[i]:sh.BOff[i+1]] {
-				inboxes[s][rt] = int64(v)
-			}
-		}
-	}
-	for t := range st.Shards {
-		sh := &st.Shards[t]
-		for _, in := range sh.In {
-			if len(in.SrcVal) != len(in.Slots) {
-				return fmt.Errorf("shard %d: halo segment from %d has %d source values for %d slots",
-					t, in.Src, len(in.SrcVal), len(in.Slots))
-			}
-			for i, slot := range in.Slots {
-				if in.SrcVal[i] < 0 || int(in.SrcVal[i]) >= len(owner) {
-					return fmt.Errorf("shard %d: halo source value %d out of range", t, in.SrcVal[i])
-				}
-				inboxes[t][slot] = int64(owner[in.SrcVal[i]])
-			}
-		}
-	}
-	for t := range st.Shards {
-		sh := &st.Shards[t]
-		for i, v := range sh.Nodes {
-			for p := 0; p < int(sh.Off[i+1]-sh.Off[i]); p++ {
-				h := halves[ft.Off(int(v))+p]
-				got := inboxes[t][int(sh.Off[i])+p]
-				if got != int64(h.To) {
-					return fmt.Errorf("shard %d: node %d port %d hears broadcast from %d, want %d",
-						t, v, p, got, h.To)
-				}
-			}
-		}
-	}
 	// The interned-gather path: BSrc must attribute every inbox slot —
 	// local and cut alike — to the global node on the far side of its
 	// half-edge.
@@ -456,13 +402,19 @@ func (st *Topology) Validate() error {
 			}
 		}
 	}
-	// The ghost-cell path: pulling the source node's published value
-	// through SrcVal must attribute every cut slot to the global node
-	// on the far side of its half-edge.
+	// The sleeping path's cut-edge wakes: SrcVal must attribute every
+	// cut slot to the global node on the far side of its half-edge.
 	for t := range st.Shards {
 		sh := &st.Shards[t]
 		for _, in := range sh.In {
+			if len(in.SrcVal) != len(in.Slots) {
+				return fmt.Errorf("shard %d: halo segment from %d has %d source values for %d slots",
+					t, in.Src, len(in.SrcVal), len(in.Slots))
+			}
 			for i, slot := range in.Slots {
+				if in.SrcVal[i] < 0 || int(in.SrcVal[i]) >= len(owner) {
+					return fmt.Errorf("shard %d: halo source value %d out of range", t, in.SrcVal[i])
+				}
 				sender := owner[in.SrcVal[i]]
 				// Locate the receiving (node, port) of this slot and
 				// check its far endpoint is the claimed sender.

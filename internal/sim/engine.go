@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"anoncover/internal/graph"
-	"anoncover/internal/shard"
 )
 
 // RunPort executes port-numbering-model programs (one per node) for the
@@ -39,17 +38,11 @@ type runner struct {
 	bcast []BroadcastProgram
 	opt   Options
 
-	round int // current round; workers read it after the barrier
-
-	// Port-model wire path (see wire.go); wire.Codec == nil means boxed.
-	wire     WirePlan
-	curW     int         // current round's lane width; 0 = boxed round
-	outW     [][]uint64  // per-worker lane scratch
+	round    int         // current round; workers read it after the barrier
 	wireFail atomic.Bool // a SendWire reported an unencodable value
 
 	// Broadcast interned path (see wire.go); delivery gathers each
 	// node's messages from the published per-sender values.
-	interned bool
 	bscratch [][]Message // per-worker gather scratch
 }
 
@@ -131,20 +124,6 @@ func count(m Message, msgs, bytes *int64) {
 	}
 }
 
-// flatten returns the CSR view of top, reusing it when top already is
-// one (e.g. the caller pre-flattened a topology shared across runs) or
-// carries one (a pre-built sharded view).  A topology too large for
-// int32 CSR offsets surfaces graph.ErrTooLarge as a run-level error.
-func flatten(top Topology) (*graph.FlatTopology, error) {
-	switch t := top.(type) {
-	case *graph.FlatTopology:
-		return t, nil
-	case *shard.Topology:
-		return t.Flat(), nil
-	}
-	return graph.Flatten(top)
-}
-
 // counters is one shard's message tallies, padded so adjacent shards
 // do not share a cache line during the send phase.
 type counters struct {
@@ -153,8 +132,8 @@ type counters struct {
 }
 
 // recv runs node v's receive step for the round, scrambling broadcast
-// delivery order when configured.  Shared by the kernel and the CSP
-// engine so delivery semantics cannot diverge between them.
+// delivery order when configured.  Shared by the interned path and the
+// CSP engine so delivery semantics cannot diverge between them.
 func (r *runner) recv(v, round int, in []Message) {
 	if r.isBroadcast() {
 		if r.opt.ScrambleSeed != 0 {
@@ -293,11 +272,6 @@ func (r *runner) runPhases(rounds, workers int, body func(w, phase int), idle fu
 			break
 		}
 		r.round = round
-		if r.wire.Codec != nil {
-			// The round's lane width is published to the workers by the
-			// same dispatch barrier that publishes the round number.
-			r.curW = r.wire.Codec.WireWords(round)
-		}
 		var t0 time.Time
 		var m0 uint64
 		if trace {
@@ -317,7 +291,7 @@ func (r *runner) runPhases(rounds, workers int, body func(w, phase int), idle fu
 		if trace {
 			sendNS = time.Since(t0).Nanoseconds()
 		}
-		if r.wire.Codec != nil && r.wireFail.Load() {
+		if r.wireFail.Load() {
 			// A lane could not hold its value; receivers would decode
 			// garbage, so stop at the phase barrier.  Program state is
 			// unusable — the caller rebuilds and reruns boxed.
@@ -434,16 +408,6 @@ func (r *runner) runCSP(rounds int) Stats {
 		stats.Bytes += byteCounts[v]
 	}
 	return stats
-}
-
-// Scramble permutes a broadcast round's messages exactly as the
-// in-process engines do for Options.ScrambleSeed, deterministically in
-// (seed, node, round).  Exported for the distributed runner, which
-// replays the same permutation on the receiving worker so that a
-// scrambled distributed run stays bit-identical to a scrambled
-// sequential one.
-func Scramble(msgs []Message, seed int64, node, round int) {
-	scramble(msgs, seed, node, round)
 }
 
 // scramble permutes msgs in place, deterministically in (seed, node,

@@ -15,40 +15,33 @@ import (
 // min(k, NumCPU) workers — one worker per shard when the hardware has
 // the cores, and a stable multi-shard assignment (worker w owns shards
 // w, w+p, ...) when it does not, so oversharding degrades to
-// locality-ordered execution instead of OS thread thrash.  During the
-// send phase a worker steps only its shards' nodes, scattering
-// messages through each shard's precomputed route table — same-shard
-// messages go straight into the shard's compact local inbox, cut-edge
-// messages into fixed-slot halo-out buffers with exactly one writer
-// each.  At the phase barrier the halo buffers are published; the
-// receive phase starts by draining each shard's incoming halo segments
-// into its inbox and then steps its nodes' receive handlers.  Halo
-// buffers are double-buffered by round parity (see shard.Topology).
-// With one shard there is no cut, so every message goes straight into
-// the one inbox and the drains are empty loops.
+// locality-ordered execution instead of OS thread thrash.
 //
-// Delivery runs on three paths (wire.go):
+// Port-model rounds, wire and boxed, and boxed broadcast rounds run
+// one ShardStep per shard (step.go), the same step a fleet worker runs
+// in internal/dist; only the halo transport differs.  In the send
+// phase each step scatters its messages through the shard's route
+// table: same-shard messages straight into the shard's inbox, cut-edge
+// messages into its halo-out buffer for the round's parity.  After the
+// phase barrier each step drains its In segments straight out of the
+// source steps' halo-out buffers, then steps its receive handlers.
+// With one shard there is no cut, so there is nothing to drain.
 //
-//   - Wire port rounds scatter []uint64 word lanes through the same
-//     route tables, and the halo exchange becomes plain word copies
-//     into lane-striped halo buffers.
-//   - Interned broadcast rounds publish one value per node into the
-//     bvals table (one block per shard at its ValBase, which the
-//     ghost-cell pulls read too) and the receive phase gathers every
-//     slot's message through the static BSrc sender table — no
-//     per-slot scatter and no drain loop at all.
-//   - Boxed rounds keep the Message inboxes, BRoute scatter and
-//     halo/ghost-cell drains.
+// Interned broadcast rounds (the default for broadcast programs) need
+// shared memory and stay in this file: every node publishes one value
+// into the bvals table (one block per shard at its ValBase) and the
+// receive phase gathers every slot's message through the static BSrc
+// sender table — no per-slot scatter and no drain loop at all.
 //
 // The interned path is also activity-sparse when every program is a
 // Sleeper (sendSparse, recvSparse).  After a node's Recv(r) the kernel
 // records SleepUntil(r) as the node's due round and skips its Send,
 // gather and Recv until then.  Wake rule: a non-nil value wakes each
 // node that hears it, for that round's Recv only — same-shard
-// receivers are stamped in the send phase through the sender's BRoute
-// slots, cut-edge receivers in the receive phase through the shard's
-// In halo slots, scanned only when the source shard published a
-// non-nil value this round.  A shard with no node due and none woken
+// receivers are stamped in the send phase through the sender's local
+// Route entries, cut-edge receivers in the receive phase through the
+// shard's In halo slots, scanned only when the source shard published
+// a non-nil value this round.  A shard with no node due and none woken
 // skips both phases in O(1), and a round in which no shard has a node
 // due is not dispatched to the workers at all.  Parity-slot rule: a
 // skipped node publishes nothing, so both of its value slots must
@@ -69,7 +62,7 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 		// pre-flattened *graph.FlatTopology amortizes CSR construction.
 		st = pre
 	} else {
-		ft, err := flatten(r.top)
+		ft, err := shard.Flat(r.top)
 		if err != nil {
 			return Stats{}, err
 		}
@@ -91,62 +84,64 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 		workers = ncpu
 	}
 
-	// Per-run mutable state: the shard.Topology itself is immutable
-	// routing, so concurrent runs may share it.  The port model
-	// exchanges per-edge halo-out buffers (each port may carry a
-	// different message); the broadcast model publishes one value per
-	// node and lets receivers pull it — through the ghost-cell drain on
-	// the boxed path, through the static BSrc gather on the interned
-	// path.  Halo-crossing state is double-buffered by round parity.
-	// With a Pool, the whole bundle is recycled from the previous run
-	// over the same topology.
-	bcast := r.isBroadcast()
-	r.interned = bcast && !r.opt.NoWire
-	r.wire = PlanWire(r.port, rounds, r.opt.NoWire)
+	// Per-run mutable state lives in the arena: the shard.Topology
+	// itself is immutable routing, so concurrent runs may share it.
+	// With a Pool, the arena is recycled from the previous run over the
+	// same topology.
 	a, done := r.arenaFor()
 	defer done()
-	var inboxes [][]Message
-	var halo [2][][]Message
-	var bvals [2][]Message
-	var inboxesW [][]uint64
-	var haloW [2][][]uint64
-	var sl *sleepState
-	if bcast {
-		inboxes, _, bvals = a.grabSharded(st, true, !r.interned)
-		if r.interned {
-			r.bscratch = a.grabScratch(workers, st.Flat().MaxDeg())
-			if rounds < math.MaxInt32 {
-				sl = a.grabSleep(st, r.bcast)
+	counts := make([]counters, k)
+	if r.isBroadcast() && !r.opt.NoWire {
+		body, idle := r.internedBody(st, a, workers, rounds, counts)
+		return r.runPhases(rounds, workers, body, idle, counts)
+	}
+	steps := a.grabSteps(st, r.port, r.bcast, rounds, r.opt)
+	body := func(w, phase int) {
+		for s := w; s < k; s += workers {
+			step := &steps[s]
+			if phase == phaseSend {
+				msgs, bytes, err := step.Send(r.round)
+				if err != nil {
+					r.wireFail.Store(true)
+				}
+				counts[s].msgs += msgs
+				counts[s].bytes += bytes
+				continue
 			}
-		}
-	} else {
-		if r.wire.Codec == nil || r.wire.BoxedRounds {
-			inboxes, halo, _ = a.grabSharded(st, false, true)
-		}
-		if r.wire.Codec != nil {
-			inboxesW, haloW = a.grabShardedWords(st, r.wire.MaxW)
-			r.outW = a.grabOut(workers, r.wire.MaxW*st.Flat().MaxDeg())
+			for si := range step.sh.In {
+				in := &step.sh.In[si]
+				step.Drain(si, steps[in.Src].HaloOut(r.round).seg(int(in.Lo), len(in.Slots), step.w))
+			}
+			step.Recv(r.round)
 		}
 	}
-	counts := make([]counters, k)
+	return r.runPhases(rounds, workers, body, nil, counts)
+}
 
-	stepShard := func(s, w, phase int) {
-		sh := &st.Shards[s]
-		if sl != nil {
-			if phase == phaseSend {
-				r.sendSparse(sl, sh, s, bvals, &counts[s])
-			} else {
-				r.recvSparse(sl, sh, s, w, bvals, int32(rounds))
-			}
-			return
-		}
-		if phase == phaseSend {
-			var msgs, bytes int64
+// internedBody returns the round body of the interned broadcast path,
+// and the idle test of its activity-sparse form when every program is
+// a Sleeper.
+func (r *runner) internedBody(st *shard.Topology, a *arena, workers, rounds int, counts []counters) (body func(w, phase int), idle func(int) bool) {
+	bvals := a.grabVals(st)
+	r.bscratch = a.grabScratch(workers, st.Flat().MaxDeg())
+	var sl *sleepState
+	if rounds < math.MaxInt32 {
+		sl = a.grabSleep(st, r.bcast)
+	}
+	k := st.K()
+	body = func(w, phase int) {
+		for s := w; s < k; s += workers {
+			sh := &st.Shards[s]
 			switch {
-			case r.interned:
+			case sl != nil && phase == phaseSend:
+				r.sendSparse(sl, sh, s, bvals, &counts[s])
+			case sl != nil:
+				r.recvSparse(sl, sh, s, w, bvals, int32(rounds))
+			case phase == phaseSend:
 				// Publish each node's value once; receivers gather it
 				// through the static sender table after the barrier.
 				bval := bvals[r.round&1][sh.ValBase:]
+				var msgs, bytes int64
 				for i, v := range sh.Nodes {
 					m := r.bcast[v].Send(r.round)
 					bval[i] = m
@@ -158,220 +153,29 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 						}
 					}
 				}
-			case bcast:
-				inbox := inboxes[s]
-				bval := bvals[r.round&1][sh.ValBase:]
-				broute := sh.BRoute
-				for i, v := range sh.Nodes {
-					m := r.bcast[v].Send(r.round)
-					// Publish the node's value once; cut edges are
-					// pulled by the destination shard after the
-					// barrier, so the scatter walks only the dense
-					// local slot list, branch-free.
-					bval[i] = m
-					for _, rt := range broute[sh.BOff[i]:sh.BOff[i+1]] {
-						inbox[rt] = m
-					}
-					// A broadcast node sends the one message through
-					// every port; fold its Stats contribution per node
-					// instead of per half-edge (totals are identical,
-					// and the equivalence suite asserts so).
-					if m != nil {
-						deg := int64(sh.Off[i+1] - sh.Off[i])
-						msgs += deg
-						if sz, ok := m.(Sizer); ok {
-							bytes += deg * int64(sz.WireSize())
-						}
-					}
-				}
-			case r.curW > 0:
-				// Wire round: encode lanes per node, then scatter each
-				// lane as a word copy through the same route table.
-				wid := r.curW
-				inboxW := inboxesW[s]
-				hw := haloW[r.round&1][s]
-				out := r.outW[w]
-				for i, v := range sh.Nodes {
-					base := sh.Off[i]
-					deg := int(sh.Off[i+1] - base)
-					lanes := out[:deg*wid]
-					m, b, ok := r.wire.Progs[v].SendWire(r.round, lanes)
-					if !ok {
-						r.wireFail.Store(true)
-						return
-					}
-					msgs += m
-					bytes += b
-					// Idle lanes (first word zero) are not scattered;
-					// see WirePortProgram.
-					routes := sh.Route[base:sh.Off[i+1]]
-					switch wid {
-					case 1:
-						for p, rt := range routes {
-							if lanes[p] == 0 {
-								continue
-							}
-							if rt >= 0 {
-								inboxW[rt] = lanes[p]
-							} else {
-								hw[^rt] = lanes[p]
-							}
-						}
-					case 2:
-						for p, rt := range routes {
-							if lanes[2*p] == 0 {
-								continue
-							}
-							if rt >= 0 {
-								inboxW[2*rt] = lanes[2*p]
-								inboxW[2*rt+1] = lanes[2*p+1]
-							} else {
-								hw[2*^rt] = lanes[2*p]
-								hw[2*^rt+1] = lanes[2*p+1]
-							}
-						}
-					case 3:
-						for p, rt := range routes {
-							if lanes[3*p] == 0 {
-								continue
-							}
-							d := 3 * int(rt)
-							buf := inboxW
-							if rt < 0 {
-								d = 3 * int(^rt)
-								buf = hw
-							}
-							buf[d] = lanes[3*p]
-							buf[d+1] = lanes[3*p+1]
-							buf[d+2] = lanes[3*p+2]
-						}
-					default:
-						for p, rt := range routes {
-							if lanes[wid*p] == 0 {
-								continue
-							}
-							lane := lanes[wid*p : wid*p+wid]
-							if rt >= 0 {
-								copy(inboxW[wid*int(rt):], lane)
-							} else {
-								copy(hw[wid*int(^rt):], lane)
-							}
-						}
-					}
-				}
+				counts[s].msgs += msgs
+				counts[s].bytes += bytes
 			default:
-				inbox := inboxes[s]
-				route := sh.Route
-				out := halo[r.round&1][s]
+				// Gather every slot's message straight from the published
+				// value table; BSrc already routes cut edges, so there is
+				// no halo drain.
+				vals := bvals[r.round&1]
+				scratch := r.bscratch[w]
 				for i, v := range sh.Nodes {
-					outMsgs := r.port[v].Send(r.round)
-					base := sh.Off[i]
-					if int32(len(outMsgs)) != sh.Off[i+1]-base {
-						panic(fmt.Sprintf("sim: node %d sent %d messages, degree %d",
-							v, len(outMsgs), sh.Off[i+1]-base))
+					src := sh.BSrc[sh.Off[i]:sh.Off[i+1]]
+					in := scratch[:len(src)]
+					for p, e := range src {
+						in[p] = vals[e]
 					}
-					routes := route[base:sh.Off[i+1]]
-					for p, m := range outMsgs {
-						if rt := routes[p]; rt >= 0 {
-							inbox[rt] = m
-						} else {
-							out[^rt] = m
-						}
-						count(m, &msgs, &bytes)
-					}
+					r.recv(int(v), r.round, in)
 				}
-			}
-			counts[s].msgs += msgs
-			counts[s].bytes += bytes
-			return
-		}
-		// Receive phase.
-		switch {
-		case r.interned:
-			// Gather every slot's message straight from the published
-			// value table; BSrc already routes cut edges, so there is
-			// no halo drain.
-			vals := bvals[r.round&1]
-			scratch := r.bscratch[w]
-			for i, v := range sh.Nodes {
-				base := int(sh.Off[i])
-				src := sh.BSrc[base:sh.Off[i+1]]
-				in := scratch[:len(src)]
-				for p, e := range src {
-					in[p] = vals[e]
-				}
-				r.recv(int(v), r.round, in)
-			}
-		case bcast:
-			inbox := inboxes[s]
-			vals := bvals[r.round&1]
-			for hi := range sh.In {
-				in := &sh.In[hi]
-				srcVal := in.SrcVal
-				for i, slot := range in.Slots {
-					inbox[slot] = vals[srcVal[i]]
-				}
-			}
-			for i, v := range sh.Nodes {
-				r.recv(int(v), r.round, inbox[sh.Off[i]:sh.Off[i+1]])
-			}
-		case r.curW > 0:
-			// Wire round: drain the incoming halo segments as word
-			// copies, then hand each node its contiguous lane slice.
-			wid := r.curW
-			inboxW := inboxesW[s]
-			gen := haloW[r.round&1]
-			for hi := range sh.In {
-				in := &sh.In[hi]
-				src := gen[in.Src]
-				lo := int(in.Lo)
-				switch wid {
-				case 1:
-					for i, slot := range in.Slots {
-						inboxW[slot] = src[lo+i]
-					}
-				case 2:
-					for i, slot := range in.Slots {
-						d, o := 2*int(slot), 2*(lo+i)
-						inboxW[d] = src[o]
-						inboxW[d+1] = src[o+1]
-					}
-				default:
-					for i, slot := range in.Slots {
-						o := wid * (lo + i)
-						copy(inboxW[wid*int(slot):wid*int(slot)+wid], src[o:o+wid])
-					}
-				}
-			}
-			for i, v := range sh.Nodes {
-				r.wire.Progs[v].RecvWire(r.round, inboxW[wid*int(sh.Off[i]):wid*int(sh.Off[i+1])])
-			}
-		default:
-			inbox := inboxes[s]
-			gen := halo[r.round&1]
-			for hi := range sh.In {
-				in := &sh.In[hi]
-				src := gen[in.Src]
-				lo := int(in.Lo)
-				for i, slot := range in.Slots {
-					inbox[slot] = src[lo+i]
-				}
-			}
-			for i, v := range sh.Nodes {
-				r.recv(int(v), r.round, inbox[sh.Off[i]:sh.Off[i+1]])
 			}
 		}
 	}
-	body := func(w, phase int) {
-		for s := w; s < k; s += workers {
-			stepShard(s, w, phase)
-		}
-	}
-	var idle func(int) bool
 	if sl != nil {
 		idle = sl.idle
 	}
-	return r.runPhases(rounds, workers, body, idle, counts)
+	return body, idle
 }
 
 // sleepState is a run's activity-sparse bookkeeping for the interned
@@ -422,7 +226,7 @@ func (sl *sleepState) idle(round int) bool {
 // only due nodes send.  A sleeping node's value slots are nil in both
 // parities (see runSharded), so skipping it publishes exactly the nil
 // its Send would have returned.  A non-nil value stamps a wake on
-// every same-shard receiver through the node's BRoute slots.
+// every same-shard receiver through the node's local Route entries.
 func (r *runner) sendSparse(sl *sleepState, sh *shard.Shard, s int, bvals [2][]Message, cnt *counters) {
 	ss := &sl.shards[s]
 	rd := int32(r.round)
@@ -459,10 +263,13 @@ func (r *runner) sendSparse(sl *sleepState, sh *shard.Shard, s int, bvals [2][]M
 		if sz, ok := m.(Sizer); ok {
 			bytes += deg * int64(sz.WireSize())
 		}
-		ss.pub = rd
-		if lo, hi := sh.BOff[i], sh.BOff[i+1]; lo < hi {
-			ss.woke = rd
-			for _, rt := range sh.BRoute[lo:hi] {
+		// Stamp the same-shard receivers; cut-edge ones are found by
+		// their own shard in the receive phase.  woke may be set for a
+		// node whose ports are all cut, which only costs its shard one
+		// scan of nodes that have nothing due.
+		ss.pub, ss.woke = rd, rd
+		for _, rt := range sh.Route[sh.Off[i]:sh.Off[i+1]] {
+			if rt >= 0 {
 				wake[owner[rt]] = rd
 			}
 		}

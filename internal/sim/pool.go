@@ -104,124 +104,95 @@ func (p *Pool) Close() {
 // clearing on reuse — only on release, to unpin the old run's messages.
 // A sleeping run writes a value slot only when its node sends, but every
 // node sends in round 1 and a node clears both of its slots before it
-// sleeps past a round, so the rule still holds.
-// The word buffers of the wire path hold no pointers and are skipped by
-// the release scrub entirely.
+// sleeps past a round, so the rule still holds.  The word buffers of the
+// wire path are the exception: makeStep zeroes them for every run.
 type arena struct {
-	out    [][]uint64  // per-worker wire lane scratch
 	gather [][]Message // per-worker interned gather scratch
 
-	// Per-shard buffers, valid only for the (topology, model, shape)
-	// triple they were last shaped for.
-	st       *shard.Topology
-	bcast    bool
-	hasInbox bool
-	inboxes  [][]Message
-	halo     [2][][]Message
-	bvals    [2][]Message    // broadcast value table, shard blocks at ValBase
-	stW      *shard.Topology // wire-path buffers' topology
-	stWords  int             // ... and their per-slot word capacity
-	inboxesW [][]uint64
-	haloW    [2][][]uint64
+	// A run's programs in value-table order (shard blocks at ValBase),
+	// the wire view planWire builds of them, and one step per shard,
+	// each keeping its buffers from run to run.
+	port  []PortProgram
+	bcast []BroadcastProgram
+	wire  []WirePortProgram
+	steps []ShardStep
+
+	stVals *shard.Topology // the value table's topology
+	bvals  [2][]Message    // interned value table, shard blocks at ValBase
 
 	sleep sleepState // activity-sparse broadcast state (engine_sharded.go)
 }
 
-// grabOut returns per-worker lane scratch, each of size words.
-func (a *arena) grabOut(workers, size int) [][]uint64 {
-	if len(a.out) != workers {
-		a.out = make([][]uint64, workers)
+// grabSteps lays the run's programs out in value-table order and shapes
+// one ShardStep per shard over the arena's buffers.
+func (a *arena) grabSteps(st *shard.Topology, port []PortProgram, bcast []BroadcastProgram, rounds int, opt Options) []ShardStep {
+	var plan wirePlan
+	if port != nil {
+		a.port = byValue(a.port, port, st)
+		a.wire = grow(a.wire, len(port))
+		plan = planWire(a.port, rounds, opt.NoWire, a.wire)
+	} else {
+		a.bcast = byValue(a.bcast, bcast, st)
 	}
-	for w := range a.out {
-		if cap(a.out[w]) < size {
-			a.out[w] = make([]uint64, size)
+	a.steps = grow(a.steps, st.K())
+	maxDeg := st.Flat().MaxDeg()
+	for s := range st.Shards {
+		sh := &st.Shards[s]
+		lo, hi := int(sh.ValBase), int(sh.ValBase)+len(sh.Nodes)
+		var pp []PortProgram
+		var wp []WirePortProgram
+		var bp []BroadcastProgram
+		if port != nil {
+			pp = a.port[lo:hi]
 		} else {
-			a.out[w] = a.out[w][:size]
+			bp = a.bcast[lo:hi]
+		}
+		if plan.progs != nil {
+			wp = plan.progs[lo:hi]
+		}
+		a.steps[s] = makeStep(sh, pp, wp, bp, plan, opt.ScrambleSeed, maxDeg, a.steps[s].stepBufs)
+	}
+	return a.steps
+}
+
+// byValue lays progs, indexed by node, out in st's value-table order,
+// reusing buf.
+func byValue[T any](buf, progs []T, st *shard.Topology) []T {
+	buf = grow(buf, len(progs))
+	for s := range st.Shards {
+		sh := &st.Shards[s]
+		for i, v := range sh.Nodes {
+			buf[int(sh.ValBase)+i] = progs[v]
 		}
 	}
-	return a.out
+	return buf
+}
+
+// grow returns s resized to n, reallocating only when it lacks the
+// capacity.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // grabScratch returns per-worker gather scratch of deg message slots.
 func (a *arena) grabScratch(workers, deg int) [][]Message {
-	if len(a.gather) != workers {
-		a.gather = make([][]Message, workers)
-	}
+	a.gather = grow(a.gather, workers)
 	for w := range a.gather {
-		if cap(a.gather[w]) < deg {
-			a.gather[w] = make([]Message, deg)
-		} else {
-			a.gather[w] = a.gather[w][:deg]
-		}
+		a.gather[w] = grow(a.gather[w], deg)
 	}
 	return a.gather
 }
 
-// grabSharded returns the per-shard inboxes and double-buffered halo
-// buffers for st, reusing the previous run's buffers when the arena was
-// last shaped for the same topology and model.  withInbox is false for
-// the interned broadcast path, which delivers straight out of the
-// published value tables and needs no per-shard inboxes at all.
-func (a *arena) grabSharded(st *shard.Topology, bcast, withInbox bool) (inboxes [][]Message, halo [2][][]Message, bvals [2][]Message) {
-	if a.st == st && a.bcast == bcast && (a.hasInbox || !withInbox) {
-		return a.inboxes, a.halo, a.bvals
+// grabVals returns the interned path's double-buffered value table.
+func (a *arena) grabVals(st *shard.Topology) [2][]Message {
+	if a.stVals != st {
+		a.stVals = st
+		a.bvals = [2][]Message{make([]Message, st.N()), make([]Message, st.N())}
 	}
-	k := st.K()
-	a.st, a.bcast, a.hasInbox = st, bcast, withInbox
-	a.inboxes = make([][]Message, k)
-	for gen := 0; gen < 2; gen++ {
-		a.halo[gen] = make([][]Message, k)
-		a.bvals[gen] = nil
-		if bcast {
-			a.bvals[gen] = make([]Message, st.N())
-		}
-	}
-	for s := 0; s < k; s++ {
-		sh := &st.Shards[s]
-		if withInbox {
-			a.inboxes[s] = make([]Message, sh.InboxLen())
-		}
-		if !bcast {
-			for gen := 0; gen < 2; gen++ {
-				a.halo[gen][s] = make([]Message, sh.HaloOut)
-			}
-		}
-	}
-	return a.inboxes, a.halo, a.bvals
-}
-
-// grabShardedWords returns the per-shard word-lane inboxes and
-// double-buffered halo-out word buffers, sized for lanes of maxW words
-// per slot and zeroed: the idle-lane convention (WirePortProgram)
-// distinguishes live lanes from stale slots by round stamps, and a
-// recycled buffer could otherwise replay a previous run's stamps at the
-// same round numbers.
-func (a *arena) grabShardedWords(st *shard.Topology, maxW int) (inboxesW [][]uint64, haloW [2][][]uint64) {
-	if a.stW == st && a.stWords >= maxW {
-		for _, b := range a.inboxesW {
-			clear(b)
-		}
-		for gen := 0; gen < 2; gen++ {
-			for _, b := range a.haloW[gen] {
-				clear(b)
-			}
-		}
-		return a.inboxesW, a.haloW
-	}
-	k := st.K()
-	a.stW, a.stWords = st, maxW
-	a.inboxesW = make([][]uint64, k)
-	for gen := 0; gen < 2; gen++ {
-		a.haloW[gen] = make([][]uint64, k)
-	}
-	for s := 0; s < k; s++ {
-		sh := &st.Shards[s]
-		a.inboxesW[s] = make([]uint64, maxW*sh.InboxLen())
-		for gen := 0; gen < 2; gen++ {
-			a.haloW[gen][s] = make([]uint64, maxW*sh.HaloOut)
-		}
-	}
-	return a.inboxesW, a.haloW
+	return a.bvals
 }
 
 // grabSleep returns the sleep state for a run of progs over st, or nil
@@ -276,27 +247,25 @@ func (a *arena) grabSleep(st *shard.Topology, progs []BroadcastProgram) *sleepSt
 	return sl
 }
 
-// scrub drops every message reference so a parked arena does not keep a
-// finished run's payloads (broadcast histories can be large) alive.
-// Word buffers carry no references and are left as they are.
+// scrub drops every message and program reference so a parked arena
+// does not keep a finished run's payloads (broadcast histories can be
+// large) alive.  Word buffers carry no references and are left as they
+// are.
 func (a *arena) scrub() {
 	for _, in := range a.gather {
-		clearMsgs(in)
+		clear(in)
 	}
-	for _, in := range a.inboxes {
-		clearMsgs(in)
+	clear(a.port)
+	clear(a.bcast)
+	clear(a.wire)
+	for i := range a.steps {
+		b := a.steps[i].stepBufs
+		clear(b.inbox)
+		clear(b.out[0])
+		clear(b.out[1])
+		a.steps[i] = ShardStep{stepBufs: b}
 	}
-	for gen := 0; gen < 2; gen++ {
-		for _, b := range a.halo[gen] {
-			clearMsgs(b)
-		}
-		clearMsgs(a.bvals[gen])
-	}
+	clear(a.bvals[0])
+	clear(a.bvals[1])
 	clear(a.sleep.progs)
-}
-
-func clearMsgs(s []Message) {
-	for i := range s {
-		s[i] = nil
-	}
 }

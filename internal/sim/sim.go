@@ -16,18 +16,19 @@
 //
 // Programs are deterministic state machines that see only their own
 // degree, weight, node kind and the global parameters — never node
-// identifiers or n.  One in-process round kernel executes them: the
-// topology is split into degree-balanced shards (internal/shard), each
-// with a compact local inbox and a precomputed route table, and
-// cut-edge messages cross through double-buffered halo buffers at the
-// phase barrier.  The Sequential engine is that kernel with one shard
-// and one worker — the reference every other engine is held to — and
-// the Sharded engine runs it with k shards on a persistent worker pool.
-// Two further engines share the contract but not the kernel: the
-// Distributed engine runs the shards in separate processes
-// (internal/dist), and the CSP engine runs one goroutine per node with
-// channel-per-edge lockstep, kept as an independent semantic reference
-// and test oracle.
+// identifiers or n.  One per-shard round step (ShardStep) executes
+// them: the topology is split into degree-balanced shards
+// (internal/shard), each with a compact local inbox and a precomputed
+// route table, and cut-edge messages cross through double-buffered
+// halo buffers.  The in-process round kernel hands those buffers from
+// shard to shard at its phase barrier: the Sequential engine is that
+// kernel with one shard and one worker — the reference every other
+// engine is held to — and the Sharded engine runs it with k shards on a
+// persistent worker pool.  The Distributed engine runs the same step in
+// separate processes and ships the halo buffers as frames
+// (internal/dist).  The CSP engine shares the contract but not the
+// step: it runs one goroutine per node with channel-per-edge lockstep,
+// kept as an independent semantic reference and test oracle.
 //
 // Both *graph.G and *bipartite.Instance are flattened into a CSR view
 // (graph.FlatTopology) and partitioned per run; a pre-built
@@ -203,13 +204,14 @@ const (
 	// Options.Workers sets the shard count.
 	Sharded
 	// Distributed runs the sharded execution plan across processes:
-	// each shard is owned by a worker that executes rounds locally and
-	// exchanges halo messages as length-prefixed TCP frames at the
-	// phase barrier, with per-pair generation-counted synchronization
-	// instead of a global barrier.  The engine itself lives in
-	// internal/dist (sim cannot import it); a run selects it by setting
-	// Options.Dist to a dist runner (e.g. a loopback cluster) and the
-	// runner is handed the topology, programs and options verbatim.
+	// each shard is owned by a worker that runs the same ShardStep as
+	// the in-process kernel and exchanges its halo-out buffers as
+	// length-prefixed TCP frames, with per-pair generation-counted
+	// synchronization instead of a global barrier.  The transport lives
+	// in internal/dist (sim cannot import it); a run selects it by
+	// setting Options.Dist to a dist runner (e.g. a loopback cluster)
+	// and the runner is handed the topology, programs and options
+	// verbatim.  Broadcast rounds always travel boxed there.
 	Distributed
 )
 

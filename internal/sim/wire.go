@@ -40,8 +40,9 @@ import "errors"
 // far endpoint of the slot's half-edge), so the per-half-edge scatter
 // disappears entirely: the send phase writes n values, and the receive
 // phase gathers each node's messages through the shard.Shard.BSrc
-// table, which replaces the ghost-cell halo drain as well.
-// Options.NoWire restores the scattering boxed path here too.
+// table, which replaces the halo drain as well.  Options.NoWire
+// restores the boxed path here too: each node's value is scattered
+// through Route to every port, exactly as a port-model round.
 
 // ErrWireOverflow is returned by a run that chose the wire path and
 // then met a value its declared lane width cannot hold (for example a
@@ -101,45 +102,45 @@ type WirePortProgram interface {
 	RecvWire(r int, in []uint64)
 }
 
-// WirePlan is a port-model run's delivery-path decision: which rounds
+// wirePlan is a port-model run's delivery-path decision: which rounds
 // travel as word lanes, how wide the lanes are, and whether any round
-// still travels boxed.  The in-process kernel and the distributed
-// shard executor both take it from PlanWire, so every engine reaches
-// the same verdict for the same programs and schedule.
-type WirePlan struct {
-	Progs       []WirePortProgram // per-node wire view; nil means fully boxed
-	Codec       WireCodec         // lane widths per round; nil means fully boxed
-	MaxW        int               // widest lane of the run, in words
-	BoxedRounds bool              // some rounds still travel boxed
+// still travels boxed.  Every ShardStep of a run takes it from planWire
+// over uniform programs, so every shard — in process or in a fleet —
+// reaches the same verdict.
+type wirePlan struct {
+	progs       []WirePortProgram // wire view of the programs; nil means fully boxed
+	codec       WireCodec         // lane widths per round; nil means fully boxed
+	maxW        int               // widest lane of the run, in words
+	boxedRounds bool              // some rounds still travel boxed
 }
 
-// PlanWire inspects a run's programs and schedule: the wire path is
+// planWire inspects a run's programs and schedule: the wire path is
 // taken only when every program implements WirePortProgram, NoWire is
 // off, and the codec declares a nonzero width for at least one round.
-// Widths come from the first program's codec (see WireCodec).
-// Broadcast runs pass nil programs and get the boxed plan.
-func PlanWire(progs []PortProgram, rounds int, noWire bool) WirePlan {
+// Widths come from the first program's codec (see WireCodec).  Broadcast
+// runs pass nil programs and get the boxed plan.  The wire view is
+// written into buf, which has one entry per program.
+func planWire(progs []PortProgram, rounds int, noWire bool, buf []WirePortProgram) wirePlan {
 	if noWire || len(progs) == 0 {
-		return WirePlan{}
+		return wirePlan{}
 	}
-	wp := make([]WirePortProgram, len(progs))
 	for i, p := range progs {
 		w, ok := p.(WirePortProgram)
 		if !ok {
-			return WirePlan{}
+			return wirePlan{}
 		}
-		wp[i] = w
+		buf[i] = w
 	}
-	plan := WirePlan{Progs: wp, Codec: wp[0]}
+	plan := wirePlan{progs: buf, codec: buf[0]}
 	for round := 1; round <= rounds; round++ {
-		w := plan.Codec.WireWords(round)
-		plan.MaxW = max(plan.MaxW, w)
+		w := plan.codec.WireWords(round)
+		plan.maxW = max(plan.maxW, w)
 		if w == 0 {
-			plan.BoxedRounds = true
+			plan.boxedRounds = true
 		}
 	}
-	if plan.MaxW == 0 {
-		return WirePlan{} // program declined every round
+	if plan.maxW == 0 {
+		return wirePlan{} // program declined every round
 	}
 	return plan
 }
