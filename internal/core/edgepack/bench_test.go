@@ -38,17 +38,29 @@ func BenchmarkRunByDelta(b *testing.B) {
 }
 
 // BenchmarkRunPooledDelta12 is one op of the vc-weights shape: a pooled
-// Sequential run at declared Δ=12, W=1000, which the wire gate keeps
-// boxed, so Phase II colours and the residual bookkeeping dominate.
+// Sequential run at declared Δ=12, W=1000.  Phase I denominators put it
+// past the wire gate, so it runs boxed.  The dense row steps every node
+// in every round; the sleeping row lets nodes sleep through the star
+// rounds in which they neither request nor reply.  Compare the two rows
+// of one run (-count 10 and benchstat, say), not rows across runs.
 func BenchmarkRunPooledDelta12(b *testing.B) {
 	g := graph.PowerLawBounded(1000, 3, 12, 1)
 	graph.RandomWeights(g, 1000, 2)
-	opt := Options{Engine: sim.Sequential, Delta: 12, W: 1000, Topology: g.Flat(), Programs: &ProgramPool{}}
-	MustRun(g, opt)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MustRun(g, opt)
+	opt := Options{Engine: sim.Sequential, Delta: 12, W: 1000, Topology: g.Flat(),
+		Programs: &ProgramPool{}, Pool: sim.NewPool()}
+	for _, sleeping := range []bool{false, true} {
+		name := "dense"
+		if sleeping {
+			name = "sleeping"
+		}
+		b.Run(name, func(b *testing.B) {
+			runAs(b, g, opt, sleeping)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runAs(b, g, opt, sleeping)
+			}
+		})
 	}
 }
 

@@ -34,6 +34,7 @@ package edgepack
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"anoncover/internal/colour"
@@ -562,23 +563,24 @@ func boxedColAt(msgs []sim.Message) func(q, i int) int8 {
 // residuals, split the root residual proportionally (or fully pay the
 // leaves when they fit), apply the increments locally, and queue
 // replies.  reqAt(q) decodes the port-q request, reporting false for
-// idle ports.
+// idle ports.  A batch with no request leaves the program untouched
+// (the sleep promise; see SleepUntil).
 func (p *Program) applyStarRequests(reqAt func(q int) (rational.Rat, bool)) {
-	p.pendingActive = true
 	total := rational.Zero
 	reqPorts := p.reqPorts[:0]
 	for q := 0; q < p.deg; q++ {
-		p.pendingMask[q] = false
 		if req, ok := reqAt(q); ok {
 			reqPorts = append(reqPorts, q)
 			p.pendingReply[q] = req
 			total = total.Add(req)
 		}
 	}
-	p.reqPorts = reqPorts
 	if len(reqPorts) == 0 {
 		return
 	}
+	p.reqPorts = reqPorts
+	p.pendingActive = true
+	clear(p.pendingMask)
 	if !p.rPos {
 		// Root already saturated: every requesting edge is saturated
 		// through the root; reply with zero increments.
@@ -634,6 +636,45 @@ func (p *Program) recvStarReplies(msgs []sim.Message, forest int, col int8) {
 		}
 		return rational.Zero, false
 	})
+}
+
+// SleepUntil implements sim.Sleeper.  Phase I, Cole–Vishkin and the
+// shift rounds are dense.  In the star rounds a node speaks only as a
+// requesting leaf or as a root with replies queued, so after round r it
+// runs the next round when r left it replies to send or a reply to
+// await, and otherwise sleeps to the request round of its next batch
+// as a leaf — or past the end, once it is saturated, has no batch left
+// or has run out of schedule (the tail of a batched NodeParams run).
+// A root's requests wake it.
+func (p *Program) SleepUntil(r int) int {
+	if p.deg == 0 || r >= p.sched.Total() {
+		return math.MaxInt
+	}
+	// The stars are the schedule's last 6Δ rounds (ScheduleFor); cur is
+	// r's index among them, 0 for the last shift round.
+	cur := r - (p.sched.Total() - 6*p.env.Params.Delta)
+	if cur < 0 {
+		return r + 1
+	}
+	if cur%2 == 1 {
+		// r was batch b's request round.
+		b := cur / 2
+		if f := b / 3; p.pendingActive || p.parentOf[f] >= 0 && p.smallCols[f] == int8(b%3) && p.rPos {
+			return r + 1
+		}
+	}
+	if !p.rPos {
+		return math.MaxInt
+	}
+	// Batch b requests in star round 2b+1; batches are ordered by forest,
+	// then colour, and forest f's leaf requests in batch 3f+smallCols[f].
+	next := (cur + 1) / 2
+	for f := next / 3; f < len(p.parentOf); f++ {
+		if b := 3*f + int(p.smallCols[f]); p.parentOf[f] >= 0 && b >= next {
+			return r - cur + 2*b + 1
+		}
+	}
+	return math.MaxInt
 }
 
 // NodeResult is a node's final output.

@@ -11,17 +11,19 @@
 //	status rounds   header | bit
 //	CV rounds       boxed — one uint64 colour per forest (WireWords = 0)
 //	shift rounds    header | colours     one byte per forest
-//	star rounds     header | n, d        mostly idle lanes
+//	star rounds     header | n, d        a request or reply, mostly idle
 //
 // Word 0 of every lane is a header stamping the round number and the
 // message kind; an idle lane's word 0 stays zero and the engine does
-// not scatter it (sim.WirePortProgram's idle-lane convention), which
-// is what makes the 6Δ star rounds — where almost every port is silent
-// — cost one word per idle port instead of a lane copy.  The uniform
-// width means word 0 of an inbox slot only ever holds a header (or the
-// zero the run starts with), so a star-round decoder can tell a live
-// request from whatever an earlier round left in the slot by comparing
-// the stamp; no clearing is ever needed.
+// not scatter it (sim.WirePortProgram's idle-lane convention).  In the
+// 6Δ star rounds almost every port is silent, and most nodes do not
+// even run: a node sleeps (Program.SleepUntil) through every batch in
+// which it neither requests nor replies, and the kernel skips its Send
+// and Recv unless a request or reply lands in one of its lanes.  The
+// uniform width means word 0 of an inbox slot only ever holds a header
+// (or a zero), so a star-round decoder can tell a live request from
+// whatever an earlier round, or a sleeping sender, left in the slot by
+// comparing the stamp; no clearing is ever needed.
 //
 // Rationals cross the wire as their exact fast-path representation
 // (rational.Raw/FromRaw), so the decoded value is bit-identical to what

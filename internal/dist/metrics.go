@@ -21,11 +21,15 @@ type Metrics struct {
 	BytesOut, BytesIn   atomic.Int64
 	LaneFrames          atomic.Int64 // data frames sent on the wire path
 	BoxedFrames         atomic.Int64 // data frames sent on the boxed path
-	StaleDrops          atomic.Int64 // frames dropped for a dead run id
-	Runs, RunErrors     atomic.Int64
-	Rounds              atomic.Int64
-	Retries             atomic.Int64 // control requests retried after a transient failure
-	Rejoins             atomic.Int64 // plan re-installs onto reconnected workers
+	// LaneBytes and BoxedBytes are the bytes of those data frames,
+	// headers included.  BytesOut also counts control replies, whose
+	// size varies with what they report (trace timings, say).
+	LaneBytes, BoxedBytes atomic.Int64
+	StaleDrops            atomic.Int64 // frames dropped for a dead run id
+	Runs, RunErrors       atomic.Int64
+	Rounds                atomic.Int64
+	Retries               atomic.Int64 // control requests retried after a transient failure
+	Rejoins               atomic.Int64 // plan re-installs onto reconnected workers
 
 	mu    sync.Mutex
 	pairs map[pairKey]*PairWait
@@ -59,13 +63,16 @@ func (p *PairWait) observe(d time.Duration) {
 }
 
 func (m *Metrics) frameOut(f *frame) {
+	n := int64(headerLen + len(f.payload))
 	m.FramesOut.Add(1)
-	m.BytesOut.Add(int64(headerLen + len(f.payload)))
+	m.BytesOut.Add(n)
 	switch f.typ {
 	case fLanes:
 		m.LaneFrames.Add(1)
+		m.LaneBytes.Add(n)
 	case fBoxed:
 		m.BoxedFrames.Add(1)
+		m.BoxedBytes.Add(n)
 	}
 }
 
@@ -127,6 +134,10 @@ func (m *Metrics) Register(reg *obs.Registry) {
 		"Halo data frames sent, by delivery path.", "path").
 		Add(func() float64 { return float64(m.LaneFrames.Load()) }, "wire").
 		Add(func() float64 { return float64(m.BoxedFrames.Load()) }, "boxed")
+	reg.CounterFuncs("anoncover_dist_data_bytes_total",
+		"Halo data frame bytes (headers included) sent, by delivery path.", "path").
+		Add(func() float64 { return float64(m.LaneBytes.Load()) }, "wire").
+		Add(func() float64 { return float64(m.BoxedBytes.Load()) }, "boxed")
 	reg.CounterFuncs("anoncover_dist_runs_total",
 		"Distributed runs by outcome.", "outcome").
 		Add(func() float64 { return float64(m.Runs.Load() - m.RunErrors.Load()) }, "ok").
@@ -175,6 +186,8 @@ type Snapshot struct {
 	BytesIn     int64          `json:"bytes_in,omitempty"`
 	LaneFrames  int64          `json:"lane_frames,omitempty"`
 	BoxedFrames int64          `json:"boxed_frames,omitempty"`
+	LaneBytes   int64          `json:"lane_bytes,omitempty"`
+	BoxedBytes  int64          `json:"boxed_bytes,omitempty"`
 	StaleDrops  int64          `json:"stale_drops,omitempty"`
 	Runs        int64          `json:"runs,omitempty"`
 	RunErrors   int64          `json:"run_errors,omitempty"`
@@ -191,6 +204,7 @@ func (m *Metrics) SnapshotNow() Snapshot {
 		FramesOut: m.FramesOut.Load(), FramesIn: m.FramesIn.Load(),
 		BytesOut: m.BytesOut.Load(), BytesIn: m.BytesIn.Load(),
 		LaneFrames: m.LaneFrames.Load(), BoxedFrames: m.BoxedFrames.Load(),
+		LaneBytes: m.LaneBytes.Load(), BoxedBytes: m.BoxedBytes.Load(),
 		StaleDrops: m.StaleDrops.Load(),
 		Runs:       m.Runs.Load(), RunErrors: m.RunErrors.Load(),
 		Rounds:  m.Rounds.Load(),

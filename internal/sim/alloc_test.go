@@ -92,6 +92,54 @@ func (p *quietPort) Recv(r int, msgs []Message) {
 }
 func (p *quietPort) Output() any { return p.acc }
 
+// quietPortSleeper is quietPort as a Sleeper: like quietSleeper it
+// speaks only in rounds congruent to its phase mod 3.  Its wire form
+// sends one-word lanes stamped with the round, and it folds only lanes
+// stamped with the current one.
+type quietPortSleeper struct {
+	quietPort
+	silent []Message
+	phase  int
+}
+
+func (p *quietPortSleeper) Send(r int) []Message {
+	if r%3 != p.phase {
+		return p.silent
+	}
+	return p.out
+}
+
+func (p *quietPortSleeper) Recv(r int, msgs []Message) {
+	for _, m := range msgs {
+		if m != nil {
+			p.acc += m.(uint64)
+		}
+	}
+}
+
+func (p *quietPortSleeper) SleepUntil(r int) int { return r + 1 + (p.phase-(r+1)%3+3)%3 }
+
+func (p *quietPortSleeper) WireWords(r int) int { return 1 }
+
+func (p *quietPortSleeper) SendWire(r int, out []uint64) (int64, int64, bool) {
+	if r%3 != p.phase {
+		clear(out)
+		return 0, 0, true
+	}
+	for i := range out {
+		out[i] = uint64(r)
+	}
+	return int64(len(out)), 0, true
+}
+
+func (p *quietPortSleeper) RecvWire(r int, in []uint64) {
+	for _, v := range in {
+		if v == uint64(r) {
+			p.acc += v
+		}
+	}
+}
+
 // allocsPerRound measures the engine's marginal heap allocations per
 // additional round by differencing a short and a long run: fixed
 // per-run setup cost (inbox, worker pool, counters) cancels out.
@@ -184,6 +232,31 @@ func TestEngineAllocsPerRound(t *testing.T) {
 						t.Errorf("sleeping broadcast %s: %.2f allocs/round, budget %.2f", name, got, c.budget)
 					}
 				})
+			}
+			if c.name == "sequential" || c.name == "sharded-2" {
+				for _, wire := range []bool{true, false} {
+					pname := "port-sleeping/" + name
+					if !wire {
+						pname += "-boxed"
+					}
+					t.Run(pname, func(t *testing.T) {
+						progs := make([]PortProgram, g.N())
+						for v := range progs {
+							q := &quietPortSleeper{silent: make([]Message, g.Deg(v)), phase: v % 3}
+							q.Init(Env{Degree: g.Deg(v)})
+							progs[v] = q
+						}
+						popt := opt
+						popt.NoWire = !wire
+						got := allocsPerRound(t, func(rounds int) {
+							RunPort(g, progs, rounds, popt)
+						})
+						t.Logf("allocs/round = %.2f", got)
+						if got > c.budget {
+							t.Errorf("sleeping port %s: %.2f allocs/round, budget %.2f", pname, got, c.budget)
+						}
+					})
+				}
 			}
 			t.Run("wireport/"+name, func(t *testing.T) {
 				progs := make([]PortProgram, g.N())

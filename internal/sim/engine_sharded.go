@@ -25,7 +25,10 @@ import (
 // messages into its halo-out buffer for the round's parity.  After the
 // phase barrier each step drains its In segments straight out of the
 // source steps' halo-out buffers, then steps its receive handlers.
-// With one shard there is no cut, so there is nothing to drain.
+// With one shard there is no cut, so there is nothing to drain.  A
+// port-model step whose programs all sleep skips its silent nodes
+// (ShardStep gives the wake and slot rules), and a round in which
+// every step is quiet is not dispatched at all.
 //
 // Interned broadcast rounds (the default for broadcast programs) need
 // shared memory and stay in this file: every node publishes one value
@@ -49,7 +52,8 @@ import (
 // next parity is cleared at Recv(r) (round r-1's gathers are done); the
 // slot of round r's parity is still being gathered by other shards in
 // that phase, so it is cleared at the start of round r+1's send phase.
-// Runs whose programs do not all sleep, and the boxed path, stay dense.
+// Runs whose programs do not all sleep, and the boxed broadcast path,
+// stay dense.
 //
 // Sharding is an execution detail only: outputs and Stats are
 // bit-identical to the one-shard reference on every program, every
@@ -96,6 +100,14 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 		return r.runPhases(rounds, workers, body, idle, counts)
 	}
 	steps := a.grabSteps(st, r.port, r.bcast, rounds, r.opt)
+	idle := func(round int) bool {
+		for s := range steps {
+			if !steps[s].quiet(round) {
+				return false
+			}
+		}
+		return true
+	}
 	body := func(w, phase int) {
 		for s := w; s < k; s += workers {
 			step := &steps[s]
@@ -115,7 +127,7 @@ func (r *runner) runSharded(rounds, k int) (Stats, error) {
 			step.Recv(r.round)
 		}
 	}
-	return r.runPhases(rounds, workers, body, nil, counts)
+	return r.runPhases(rounds, workers, body, idle, counts)
 }
 
 // internedBody returns the round body of the interned broadcast path,

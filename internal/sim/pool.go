@@ -102,10 +102,10 @@ func (p *Pool) Close() {
 // phase fills the inboxes and halo buffers the receive phase drains),
 // so recycled contents are never observed and the buffers need no
 // clearing on reuse — only on release, to unpin the old run's messages.
-// A sleeping run writes a value slot only when its node sends, but every
-// node sends in round 1 and a node clears both of its slots before it
-// sleeps past a round, so the rule still holds.  The word buffers of the
-// wire path are the exception: makeStep zeroes them for every run.
+// A sleeping run writes a slot only when its node sends, but every node
+// sends in round 1 and a node clears its slots before it sleeps past a
+// round, so the rule still holds.  The word buffers of the wire path are
+// the exception: makeStep zeroes them for every run.
 type arena struct {
 	gather [][]Message // per-worker interned gather scratch
 
@@ -150,7 +150,7 @@ func (a *arena) grabSteps(st *shard.Topology, port []PortProgram, bcast []Broadc
 		if plan.progs != nil {
 			wp = plan.progs[lo:hi]
 		}
-		a.steps[s] = makeStep(sh, pp, wp, bp, plan, opt.ScrambleSeed, maxDeg, a.steps[s].stepBufs)
+		a.steps[s] = makeStep(sh, pp, wp, bp, plan, opt.ScrambleSeed, maxDeg, rounds, a.steps[s].stepBufs)
 	}
 	return a.steps
 }

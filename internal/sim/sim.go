@@ -55,20 +55,24 @@
 // the algorithm packages rerun boxed, so results never depend on the
 // path taken.
 //
-// The interned path also skips silent node-rounds.  A broadcast program
-// that implements Sleeper promises, after each Recv(r), a round w > r
-// before which it sends nil and ignores an all-nil inbox.  When every
-// program of a run does, the kernel skips each sleeping node's Send,
-// gather and Recv; a non-nil message wakes its receiver for that
-// round's Recv only, and a shard with nothing due and nothing woken
-// skips the round in O(1).  Because the value table is double-buffered
-// by round parity, a node that sleeps past the next round has both of
-// its slots cleared: the next parity's at its Recv, the current one's
-// in the following send phase, once every gather of the round is done
-// (runSharded gives the details).  Nil messages are never counted, so
-// Stats do not change; the boxed path, the CSP engine and the
-// Distributed engine stay dense and are the references sleeping runs
-// are held to.
+// Both models skip silent node-rounds.  A program that implements
+// Sleeper promises, after each Recv(r), a round w > r before which it
+// sends only nil and ignores an all-nil inbox.  The kernel then skips a
+// sleeping node's Send and Recv; a live message (non-nil, or a lane
+// with a non-zero word 0) wakes its receiver for that round's Recv
+// only, and a shard with nothing due and nothing woken skips the round
+// in O(1).  Broadcast programs sleep on the interned path when every
+// program of the run does: a node that sleeps past the next round has
+// both of its double-buffered value slots cleared, the next parity's at
+// its Recv and the current one's in the following send phase, once
+// every gather of the round is done (runSharded).  Port programs sleep
+// in ShardStep, so the in-process engines and the Distributed engine
+// sleep alike, per shard whose programs all do; the same parity rule
+// clears a sleeper's halo-out and boxed inbox slots (ShardStep gives
+// the details).  Nil messages are never counted, so Stats do not
+// change.  The CSP engine, the boxed broadcast path and runs of
+// programs that are not Sleepers stay dense, and they are the
+// references sleeping runs are held to.
 //
 // Sharding is an execution detail only: observable behaviour — outputs
 // and Stats — must stay bit-identical to the synchronous port-numbering
@@ -149,17 +153,23 @@ type BroadcastProgram interface {
 	Output() any
 }
 
-// Sleeper is an optional interface of a BroadcastProgram whose schedule
-// has rounds in which it neither speaks nor listens.  The kernel calls
-// SleepUntil(r) after the node's Recv(r); the result w must exceed r,
-// and it is a promise about every round t with r < t < w: Send(t)
-// returns nil, and Recv(t, msgs) with every message nil leaves the
-// program's state unchanged.  The kernel then skips the node's Send,
-// gather and Recv in those rounds unless a neighbour's non-nil message
-// wakes it, in which case it runs that round's Recv (never its Send)
-// and is asked again.  Programs that cannot keep the promise simply do
-// not implement the interface; a run sleeps only when every program
-// does.
+// Sleeper is an optional interface of a BroadcastProgram or PortProgram
+// whose schedule has rounds in which it neither speaks nor listens.  The
+// kernel calls SleepUntil(r) after the node's Recv(r); the result w
+// must exceed r, and it is a promise about every round t with
+// r < t < w: Send(t) returns nil (a port program: nil on every port;
+// on the wire path, SendWire marks every lane idle and tallies
+// nothing), and Recv(t, msgs) with every message nil (on the wire path,
+// RecvWire with every lane idle or stale) leaves the program's state
+// unchanged.  The kernel then skips the node's Send and Recv (and a
+// broadcast node's gather) in those rounds unless a neighbour's live
+// message wakes it, in which case it runs that round's Recv (never its
+// Send) and is asked again.  A promise past the run's last round means
+// the rest of the run.  Programs that cannot keep the promise simply
+// do not implement the interface.  Broadcast runs sleep only when every
+// program does, port runs per shard whose programs all do.  A sleeping
+// wire program has idle lanes, so it keeps one lane width for all its
+// wire rounds, as WirePortProgram requires of such programs.
 //
 // A program type must implement SleepUntil for its own Send and Recv.
 // A type that embeds a Sleeper and overrides Send or Recv inherits a

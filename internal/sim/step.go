@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"anoncover/internal/shard"
 )
@@ -11,7 +13,8 @@ import (
 // (runSharded) runs one per shard and hands each step the halo-out
 // buffers of its source shards straight from memory; the distributed
 // shard executor (internal/dist) runs one per worker and carries the
-// same buffers as TCP frames.  Either way a round is
+// same buffers as TCP frames, so port programs sleep (below) the same
+// way in both.  Either way a round is
 //
 //	Send(round)      every node sends; local messages land in the
 //	                 shard's inbox, cut messages in HaloOut(round)
@@ -22,6 +25,27 @@ import (
 // a shard may send round r+1 while a slow peer still drains round r.
 // Programs are held in local order: node i of the step is
 // sh.Nodes[i].
+//
+// A port-model step whose programs are all Sleepers is activity-sparse.
+// After a node's Recv(r) the step records SleepUntil(r) as the node's
+// due round and skips its Send and Recv until then.  Wake rule: a live
+// message — a non-nil Message, or a lane whose word 0 is non-zero —
+// wakes the node it lands at, for that round's Recv only.  Send stamps
+// same-shard wakes as it scatters; Drain stamps cut-edge wakes from the
+// segment it lands, so a fleet worker finds them in the decoded frame.
+// A step with no node due and none woken skips Send and Recv in O(1).
+// Slot rule: a skipped node writes nothing, so whatever it last wrote
+// must already read as silent.  When a node that sent round r sleeps
+// past r+1, its halo-out slots of parity r+1 are cleared at its Recv(r)
+// (nobody reads them any more); its parity-r halo-out slots and its
+// boxed same-shard inbox slots are still being read in that receive
+// phase, so they are cleared at the start of Send(r+1).  Cleared means
+// nil on the boxed path and a zero word 0 on the wire path, where Send
+// also writes a zero word 0 for every idle cut lane, so that a non-zero
+// word 0 reaching Drain is always a live lane of this round.  Wire
+// slots in the shard's own inbox are never cleared: wakes there are
+// stamped at the scatter, and a Recv that runs anyway rejects stale
+// lanes by their round stamps (see WirePortProgram).
 type ShardStep struct {
 	sh       *shard.Shard
 	port     []PortProgram      // nil in the broadcast model
@@ -29,7 +53,18 @@ type ShardStep struct {
 	codec    WireCodec          // lane widths per round; nil when fully boxed
 	bcast    []BroadcastProgram // nil in the port model
 	scramble int64
+	round    int // the round last sent
 	w        int // lane width of the round last sent; 0 = boxed
+	maxW     int // the run's lane width on wire rounds (one width; see WirePortProgram)
+
+	// Sleep state, used when sleeping is set.  Every due round lies in
+	// [r, maxDue] at round r, so maxDue <= r means every node runs r in
+	// full and no wake needs stamping.
+	sleeping bool
+	rounds   int32 // the run's length; promises past it read rounds+1
+	minDue   int32 // earliest due round of any node
+	maxDue   int32 // latest due round of any node
+	woke     int32 // last round a live message woke one of the nodes
 	stepBufs
 }
 
@@ -41,6 +76,11 @@ type stepBufs struct {
 	inboxW []uint64
 	outW   [2][]uint64
 	lanes  []uint64 // one node's SendWire scratch
+
+	// Sleep bookkeeping, per node.
+	due   []int32 // the node runs Send and Recv in round due[i]
+	wake  []int32 // the node runs only Recv in round wake[i]
+	slept []int32 // nodes whose slots the next Send clears
 }
 
 // Halo is a segment of halo-out messages in slot order: Words on a
@@ -60,7 +100,7 @@ func NewShardStep(sh *shard.Shard, port []PortProgram, bcast []BroadcastProgram,
 	for i := range sh.Nodes {
 		maxDeg = max(maxDeg, int(sh.Off[i+1]-sh.Off[i]))
 	}
-	s := makeStep(sh, port, plan.progs, bcast, plan, scrambleSeed, maxDeg, stepBufs{})
+	s := makeStep(sh, port, plan.progs, bcast, plan, scrambleSeed, maxDeg, rounds, stepBufs{})
 	return &s
 }
 
@@ -69,9 +109,10 @@ func NewShardStep(sh *shard.Shard, port []PortProgram, bcast []BroadcastProgram,
 // some round travels as lanes.  The word buffers are zeroed, because
 // the idle-lane convention (WirePortProgram) tells live lanes from
 // stale slots by round stamps, which a recycled buffer could replay at
-// the same round numbers.
+// the same round numbers.  A port-model step sleeps when every one of
+// its programs is a Sleeper (see ShardStep).
 func makeStep(sh *shard.Shard, port []PortProgram, wire []WirePortProgram, bcast []BroadcastProgram,
-	plan wirePlan, scramble int64, maxDeg int, b stepBufs) ShardStep {
+	plan wirePlan, scramble int64, maxDeg, rounds int, b stepBufs) ShardStep {
 	n, h := sh.InboxLen(), sh.HaloOut
 	if plan.codec == nil || plan.boxedRounds {
 		b.inbox = grow(b.inbox, n)
@@ -85,7 +126,43 @@ func makeStep(sh *shard.Shard, port []PortProgram, wire []WirePortProgram, bcast
 		clear(b.outW[1])
 		b.lanes = grow(b.lanes, w*maxDeg)
 	}
-	return ShardStep{sh: sh, port: port, wire: wire, codec: plan.codec, bcast: bcast, scramble: scramble, stepBufs: b}
+	s := ShardStep{sh: sh, port: port, wire: wire, codec: plan.codec, bcast: bcast, scramble: scramble, maxW: plan.maxW, stepBufs: b}
+	if port != nil && rounds < math.MaxInt32 {
+		s.armSleep(rounds)
+	}
+	return s
+}
+
+// armSleep turns sleeping on when every program is a Sleeper, with
+// every node due in round 1.  The round stamps are reset for every run,
+// since a stale stamp would wake or skip a node.
+func (s *ShardStep) armSleep(rounds int) {
+	for _, p := range s.port {
+		if _, ok := p.(Sleeper); !ok {
+			return
+		}
+	}
+	n := len(s.port)
+	s.due = grow(s.due, n)
+	s.wake = grow(s.wake, n)
+	for i := range s.due {
+		s.due[i] = 1
+	}
+	clear(s.wake)
+	if cap(s.slept) < n {
+		s.slept = make([]int32, 0, n)
+	}
+	s.slept = s.slept[:0]
+	s.sleeping, s.rounds = true, int32(rounds)
+	s.minDue, s.maxDue, s.woke = 1, 1, 0
+}
+
+// quiet reports whether the step has nothing to do in round: it sleeps,
+// no node is due and no slot is left to clear.  When every step of a
+// run is quiet, nothing is sent, so nothing can wake a node either,
+// and the round may be skipped whole.
+func (s *ShardStep) quiet(round int) bool {
+	return s.sleeping && s.minDue > int32(round) && len(s.slept) == 0
 }
 
 // Width returns the lane width in words of the round last sent, or 0
@@ -117,9 +194,24 @@ func (h Halo) seg(lo, n, w int) Halo {
 // round is then unusable.
 func (s *ShardStep) Send(round int) (msgs, bytes int64, err error) {
 	sh := s.sh
+	s.round = round
 	s.w = 0
 	if s.codec != nil {
 		s.w = s.codec.WireWords(round)
+	}
+	rd := int32(round)
+	stamp := false // stamp same-shard wakes
+	if s.sleeping {
+		// Nodes that fell asleep at Recv(round-1): every read of what
+		// they sent then is done.
+		for _, i := range s.slept {
+			s.clearSlots(int(i), (round+1)&1, true)
+		}
+		s.slept = s.slept[:0]
+		if s.minDue > rd {
+			return 0, 0, nil
+		}
+		stamp = s.maxDue > rd
 	}
 	switch {
 	case s.bcast != nil:
@@ -145,10 +237,14 @@ func (s *ShardStep) Send(round int) (msgs, bytes int64, err error) {
 	case s.w > 0:
 		// Encode each node's lanes, then scatter every live lane as a
 		// word copy through the route table.  Idle lanes (first word
-		// zero) are not scattered; see WirePortProgram.
+		// zero) are not scattered, except that an idle cut lane zeroes
+		// its halo word 0; see WirePortProgram and ShardStep.
 		wid := s.w
 		inboxW, hw := s.inboxW, s.outW[round&1]
 		for i, prog := range s.wire {
+			if s.sleeping && s.due[i] > rd {
+				continue
+			}
 			routes := sh.Route[sh.Off[i]:sh.Off[i+1]]
 			lanes := s.lanes[:len(routes)*wid]
 			m, b, ok := prog.SendWire(round, lanes)
@@ -161,6 +257,9 @@ func (s *ShardStep) Send(round int) (msgs, bytes int64, err error) {
 			case 1:
 				for p, rt := range routes {
 					if lanes[p] == 0 {
+						if rt < 0 {
+							hw[^rt] = 0
+						}
 						continue
 					}
 					if rt >= 0 {
@@ -172,6 +271,9 @@ func (s *ShardStep) Send(round int) (msgs, bytes int64, err error) {
 			case 2:
 				for p, rt := range routes {
 					if lanes[2*p] == 0 {
+						if rt < 0 {
+							hw[2*^rt] = 0
+						}
 						continue
 					}
 					if rt >= 0 {
@@ -185,6 +287,9 @@ func (s *ShardStep) Send(round int) (msgs, bytes int64, err error) {
 			case 3:
 				for p, rt := range routes {
 					if lanes[3*p] == 0 {
+						if rt < 0 {
+							hw[3*^rt] = 0
+						}
 						continue
 					}
 					d := 3 * int(rt)
@@ -200,6 +305,9 @@ func (s *ShardStep) Send(round int) (msgs, bytes int64, err error) {
 			default:
 				for p, rt := range routes {
 					if lanes[wid*p] == 0 {
+						if rt < 0 {
+							hw[wid*int(^rt)] = 0
+						}
 						continue
 					}
 					lane := lanes[wid*p : wid*p+wid]
@@ -210,10 +318,20 @@ func (s *ShardStep) Send(round int) (msgs, bytes int64, err error) {
 					}
 				}
 			}
+			if stamp {
+				for p, rt := range routes {
+					if rt >= 0 && lanes[wid*p] != 0 {
+						s.wakeAt(rt, rd)
+					}
+				}
+			}
 		}
 	default:
 		inbox, out := s.inbox, s.out[round&1]
 		for i, prog := range s.port {
+			if s.sleeping && s.due[i] > rd {
+				continue
+			}
 			sent := prog.Send(round)
 			routes := sh.Route[sh.Off[i]:sh.Off[i+1]]
 			if len(sent) != len(routes) {
@@ -228,13 +346,40 @@ func (s *ShardStep) Send(round int) (msgs, bytes int64, err error) {
 				}
 				count(m, &msgs, &bytes)
 			}
+			if stamp {
+				for p, rt := range routes {
+					if rt >= 0 && sent[p] != nil {
+						s.wakeAt(rt, rd)
+					}
+				}
+			}
 		}
 	}
 	return msgs, bytes, nil
 }
 
+// clearSlots makes node i's outgoing slots read as silent: its halo-out
+// slots of parity par (nil, and a zero lane word 0) and, with inbox,
+// its boxed slots in the shard's own inbox.
+func (s *ShardStep) clearSlots(i, par int, inbox bool) {
+	sh := s.sh
+	out, outW, w := s.out[par], s.outW[par], s.maxW
+	for _, rt := range sh.Route[sh.Off[i]:sh.Off[i+1]] {
+		switch {
+		case rt < 0 && out != nil:
+			out[^rt] = nil
+		case rt >= 0 && inbox && s.inbox != nil:
+			s.inbox[rt] = nil
+		}
+		if rt < 0 && w > 0 {
+			outW[w*int(^rt)] = 0
+		}
+	}
+}
+
 // Drain lands incoming segment seg of the round last sent: message i
-// of src (lane i on a wire round) goes to slot In[seg].Slots[i].
+// of src (lane i on a wire round) goes to slot In[seg].Slots[i].  On a
+// sleeping step every live message also wakes the node it lands at.
 func (s *ShardStep) Drain(seg int, src Halo) {
 	slots := s.sh.In[seg].Slots
 	switch w := s.w; w {
@@ -259,6 +404,32 @@ func (s *ShardStep) Drain(seg int, src Halo) {
 			copy(s.inboxW[w*int(slot):w*int(slot)+w], src.Words[w*i:w*i+w])
 		}
 	}
+	rd := int32(s.round)
+	if !s.sleeping || s.maxDue <= rd {
+		return
+	}
+	if w := s.w; w > 0 {
+		for i, slot := range slots {
+			if src.Words[w*i] != 0 {
+				s.wakeAt(slot, rd)
+			}
+		}
+		return
+	}
+	for i, slot := range slots {
+		if src.Msgs[i] != nil {
+			s.wakeAt(slot, rd)
+		}
+	}
+}
+
+// wakeAt wakes, for round rd, the node whose inbox holds slot.  Wakes
+// are rare (dense rounds stamp none, see maxDue), so the node is found
+// by binary search rather than through a per-slot table.
+func (s *ShardStep) wakeAt(slot, rd int32) {
+	off := s.sh.Off
+	i := sort.Search(len(off)-1, func(i int) bool { return off[i+1] > slot })
+	s.wake[i], s.woke = rd, rd
 }
 
 // Recv runs round's receive phase over the drained inbox.  Broadcast
@@ -267,6 +438,8 @@ func (s *ShardStep) Drain(seg int, src Halo) {
 func (s *ShardStep) Recv(round int) {
 	sh := s.sh
 	switch {
+	case s.sleeping:
+		s.recvSleeping(round)
 	case s.bcast != nil:
 		for i, p := range s.bcast {
 			in := s.inbox[sh.Off[i]:sh.Off[i+1]]
@@ -285,4 +458,44 @@ func (s *ShardStep) Recv(round int) {
 			p.Recv(round, s.inbox[sh.Off[i]:sh.Off[i+1]])
 		}
 	}
+}
+
+// recvSleeping is the receive phase of a sleeping step: every due or
+// woken node receives as on the dense path and is asked when it must
+// run next.
+func (s *ShardStep) recvSleeping(round int) {
+	rd := int32(round)
+	if s.woke != rd && s.minDue > rd {
+		return
+	}
+	sh, w := s.sh, s.w
+	minDue, maxDue := int32(math.MaxInt32), int32(0)
+	for i, d := range s.due {
+		if d > rd && s.wake[i] != rd {
+			minDue, maxDue = min(minDue, d), max(maxDue, d)
+			continue
+		}
+		lo, hi := int(sh.Off[i]), int(sh.Off[i+1])
+		if w > 0 {
+			s.wire[i].RecvWire(round, s.inboxW[w*lo:w*hi])
+		} else {
+			s.port[i].Recv(round, s.inbox[lo:hi])
+		}
+		until := s.port[i].(Sleeper).SleepUntil(round)
+		if until <= round {
+			panic(fmt.Sprintf("sim: node %d: SleepUntil(%d) = %d, want a later round", sh.Nodes[i], round, until))
+		}
+		nd := s.rounds + 1
+		if until <= int(s.rounds) {
+			nd = int32(until)
+		}
+		if d <= rd && nd > rd+1 {
+			// The node sent this round and now sleeps past the next.
+			s.clearSlots(i, (round+1)&1, false)
+			s.slept = append(s.slept, int32(i))
+		}
+		s.due[i] = nd
+		minDue, maxDue = min(minDue, nd), max(maxDue, nd)
+	}
+	s.minDue, s.maxDue = minDue, maxDue
 }
