@@ -246,10 +246,11 @@ func WithWeights(w []int64) Option { return func(c *config) { c.weights = w } }
 
 // WithoutWirePath forces the simulator's boxed message-delivery path
 // instead of the default unboxed wire path (fixed-width word lanes for
-// the port model, interned value tables for the broadcast model).
-// Results are bit-identical on both paths; the option exists for
-// equivalence testing and for ablation benchmarks that want to measure
-// the wire path's effect.
+// the port model).  Broadcast-model runs (set cover, broadcast vertex
+// cover) have one delivery path and ignore it.  Results are
+// bit-identical on both paths; the option exists for equivalence
+// testing and for ablation benchmarks that want to measure the wire
+// path's effect.
 func WithoutWirePath() Option { return func(c *config) { c.noWire = true } }
 
 func buildConfig(opts []Option) config {

@@ -329,8 +329,9 @@ type Options struct {
 	// Dist is the process-spanning runner required when Engine is
 	// sim.Distributed (see sim.Options.Dist); ignored otherwise.
 	Dist sim.DistRunner
-	// NoWire forces the boxed simulator delivery path; results are
-	// identical either way (equivalence tests and ablations).
+	// NoWire is passed to sim.Options.NoWire, which has no effect on
+	// broadcast programs (they have one delivery path); it is kept so
+	// callers and equivalence rows can set it uniformly.
 	NoWire bool
 	// Programs, when non-nil, recycles the per-node Program state
 	// across runs through the Reset protocol.

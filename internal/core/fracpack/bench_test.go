@@ -71,24 +71,35 @@ func fmtInt(n int) string {
 // BenchmarkRunSCShape runs the benchmark's set-cover shape (f=3, k=6,
 // W=1000; 3,552 rounds) at both of its instance sizes the way a
 // compiled session does: pooled programs, a pooled simulator arena and
-// a pre-built one-shard view, so the figure is the rounds themselves.
+// a pre-built sharded view, so the figure is the rounds themselves.
+// The plain rows run one shard; the sharded-2 rows run the two-shard
+// Sharded engine a server picks for set cover, whose cut edges travel
+// through the halo buffers.
 func BenchmarkRunSCShape(b *testing.B) {
 	for _, sz := range scShapes {
-		b.Run(sz.name, func(b *testing.B) {
-			ins := bipartite.Random(sz.s, sz.u, 3, 6, 1000, 5)
-			opt := Options{
-				Topology: shard.BuildK(ins.Flat(), 1),
-				Pool:     sim.NewPool(),
-				Programs: &ProgramPool{},
+		for _, k := range []int{1, 2} {
+			name := sz.name
+			if k > 1 {
+				name += "-sharded-2"
 			}
-			defer opt.Pool.Close()
-			MustRun(ins, opt)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			b.Run(name, func(b *testing.B) {
+				ins := bipartite.Random(sz.s, sz.u, 3, 6, 1000, 5)
+				opt := Options{
+					Engine:   sim.Sharded,
+					Workers:  k,
+					Topology: shard.BuildK(ins.Flat(), k),
+					Pool:     sim.NewPool(),
+					Programs: &ProgramPool{},
+				}
+				defer opt.Pool.Close()
 				MustRun(ins, opt)
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					MustRun(ins, opt)
+				}
+			})
+		}
 	}
 }
 

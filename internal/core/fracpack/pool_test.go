@@ -14,7 +14,7 @@ func bipartiteEnvsForTest(ins *bipartite.Instance) []sim.Env {
 
 // TestProgramPoolReuse: runs served from recycled (Reset) subset and
 // element programs must be bit-identical to fresh-program runs, run
-// after run, on the interned and boxed delivery paths alike.
+// after run, with and without NoWire (which broadcast runs ignore).
 func TestProgramPoolReuse(t *testing.T) {
 	ins := bipartite.Random(12, 30, 3, 6, 9, 17)
 	ref := MustRun(ins, Options{})

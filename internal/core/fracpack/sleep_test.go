@@ -43,14 +43,15 @@ func TestSleepHintTables(t *testing.T) {
 
 // TestSleepEarlyExitMatchesDense: EarlyExit chunks forward the
 // programs' sleep hints through offsetProg, so their runs sleep; the
-// result, rounds and Stats must equal the dense boxed run's.
+// result, rounds and Stats must equal the dense run's on the CSP
+// engine, which never consults SleepUntil.
 func TestSleepEarlyExitMatchesDense(t *testing.T) {
 	for _, ins := range []*bipartite.Instance{
 		bipartite.Random(12, 30, 3, 6, 9, 17),
 		bipartite.Random(40, 70, 3, 6, 1000, 5),
 		bipartite.SymmetricKpp(4),
 	} {
-		ref := MustRun(ins, Options{EarlyExit: true, NoWire: true})
+		ref := MustRun(ins, Options{EarlyExit: true, Engine: sim.CSP})
 		for _, opt := range []Options{
 			{EarlyExit: true},
 			{EarlyExit: true, Engine: sim.Sharded, Workers: 2},

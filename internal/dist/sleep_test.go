@@ -2,9 +2,12 @@ package dist_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"anoncover/internal/bipartite"
 	"anoncover/internal/core/edgepack"
+	"anoncover/internal/core/fracpack"
 	"anoncover/internal/dist"
 	"anoncover/internal/graph"
 	"anoncover/internal/sim"
@@ -25,12 +28,84 @@ func (d densePort) SendWire(r int, out []uint64) (int64, int64, bool) {
 	return d.p.SendWire(r, out)
 }
 
-// TestClusterSleepFrames: on the fleet, a run whose edge-packing nodes
-// sleep through the star rounds sends exactly the data frames and data
-// bytes of the same run stepped densely, and ends with the same
-// outputs and Stats — on the wire path (a 40×40 grid) and the boxed one
-// (a Δ=12 power-law graph).
+// countBcast holds a broadcast program as a named field, so the shard
+// step runs it in every round even when the program is a Sleeper, and
+// counts its receives across the fleet's shard goroutines.
+type countBcast struct {
+	p     sim.BroadcastProgram
+	recvs *atomic.Int64
+}
+
+func (c countBcast) Init(env sim.Env)       {}
+func (c countBcast) Send(r int) sim.Message { return c.p.Send(r) }
+func (c countBcast) Output() any            { return c.p.Output() }
+func (c countBcast) Recv(r int, msgs []sim.Message) {
+	c.recvs.Add(1)
+	c.p.Recv(r, msgs)
+}
+
+// sleepyBcast is countBcast that forwards the program's sleep promise.
+type sleepyBcast struct{ countBcast }
+
+func (s sleepyBcast) SleepUntil(r int) int { return s.p.(sim.Sleeper).SleepUntil(r) }
+
+// TestClusterSleepFrames: on the fleet, a run whose nodes sleep sends
+// exactly the data frames and data bytes of the same run stepped
+// densely, and ends with the same outputs and Stats — edge packing,
+// whose nodes sleep through the star rounds, on the wire path (a 40×40
+// grid) and the boxed one (a Δ=12 power-law graph), and fractional
+// packing on the broadcast path, whose sleeping run must also skip
+// node steps.
 func TestClusterSleepFrames(t *testing.T) {
+	t.Run("fracpack-40x70", func(t *testing.T) {
+		ins := bipartite.Random(40, 70, 3, 6, 1000, 5)
+		params := sim.BipartiteParams(ins)
+		envs := sim.BipartiteEnvs(ins, params)
+		rounds := fracpack.Rounds(params)
+		run := func(sleeping bool) ([]string, sim.Stats, dist.Snapshot, int64) {
+			cl := dist.NewCluster(2)
+			var recvs atomic.Int64
+			progs := make([]sim.BroadcastProgram, ins.N())
+			for v := range progs {
+				var p sim.BroadcastProgram = fracpack.NewElement(envs[v])
+				if ins.IsSubset(v) {
+					p = fracpack.NewSubset(envs[v])
+				}
+				progs[v] = countBcast{p, &recvs}
+				if sleeping {
+					progs[v] = sleepyBcast{countBcast{p, &recvs}}
+				}
+			}
+			st, err := sim.RunBroadcast(ins, progs, rounds, sim.Options{Engine: sim.Distributed, Dist: cl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs := make([]string, len(progs))
+			for v, p := range progs {
+				outs[v] = fmt.Sprint(p.Output())
+			}
+			return outs, st, cl.Metrics().SnapshotNow(), recvs.Load()
+		}
+		ref, refStats, refMx, refRecvs := run(false)
+		got, st, mx, recvs := run(true)
+		if st.Messages != refStats.Messages || st.Bytes != refStats.Bytes {
+			t.Fatalf("stats %+v, dense %+v", st, refStats)
+		}
+		for v := range ref {
+			if got[v] != ref[v] {
+				t.Fatalf("node %d output %s, dense %s", v, got[v], ref[v])
+			}
+		}
+		if mx.LaneFrames != 0 || mx.BoxedFrames != refMx.BoxedFrames || mx.BoxedBytes != refMx.BoxedBytes || mx.BoxedFrames == 0 {
+			t.Fatalf("data frames (lane %d, boxed %d/%d B), dense (lane %d, boxed %d/%d B)",
+				mx.LaneFrames, mx.BoxedFrames, mx.BoxedBytes, refMx.LaneFrames, refMx.BoxedFrames, refMx.BoxedBytes)
+		}
+		if want := int64(rounds * ins.N()); refRecvs != want || recvs >= refRecvs {
+			t.Fatalf("sleeping run made %d receives, dense %d (want %d): nothing slept", recvs, refRecvs, want)
+		}
+		t.Logf("boxed %d frames / %d B; %d of %d receives", mx.BoxedFrames, mx.BoxedBytes, recvs, refRecvs)
+	})
+
 	grid := graph.Grid(40, 40)
 	graph.RandomWeights(grid, 1000, 3)
 	pl := graph.PowerLawBounded(300, 3, 12, 5)

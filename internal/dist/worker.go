@@ -326,11 +326,21 @@ func (w *Worker) controlLoop(fc *frameConn) {
 			// A prepare can wait up to the frame timeout for peers to
 			// dial; a peer that restarted without the session never
 			// will.  Waiting off the loop keeps pings, aborts and the
-			// re-install that ends the wait answerable meanwhile.
+			// re-install that ends the wait answerable meanwhile.  The
+			// session is resolved here, in frame order, so a later
+			// re-install cannot swap it under the waiting prepare.
+			s, spec := w.startSession(fc, &f)
+			if s == nil {
+				continue
+			}
 			w.wg.Add(1)
 			go func() {
 				defer w.wg.Done()
-				w.handleStart(fc, &f)
+				if err := s.prepare(f.run, spec); err != nil {
+					sendErr(fc, f.run, errorCode(err), err.Error())
+					return
+				}
+				fc.write(&frame{typ: fReady, run: f.run})
 			}()
 		case fGo:
 			w.handleGo(fc, &f)
@@ -481,32 +491,30 @@ func startPayload(f *frame) (uint64, *StartSpec, error) {
 	return session, &spec, nil
 }
 
-// handleStart prepares a run: fresh programs, fresh staging, peers
-// verified — but does not execute until fGo, so no peer can be mid-
-// round before every staging buffer in the fleet exists.
-func (w *Worker) handleStart(fc *frameConn, f *frame) {
+// startSession decodes a start frame and resolves its session, or
+// answers the frame with an error and returns nil.  A start prepares a
+// run (wsession.prepare: fresh programs, fresh staging, peers verified)
+// but does not execute it until fGo, so no peer can be mid-round before
+// every staging buffer in the fleet exists.
+func (w *Worker) startSession(fc *frameConn, f *frame) (*wsession, *StartSpec) {
 	session, spec, err := startPayload(f)
 	if err != nil || spec == nil {
 		sendErr(fc, f.run, ecBadRequest, "undecodable start")
-		return
+		return nil, nil
 	}
 	s := w.session(session)
 	if s == nil {
 		sendErr(fc, f.run, ecBadRequest, "unknown session")
-		return
+		return nil, nil
 	}
 	w.mu.Lock()
 	draining := w.draining || w.closed
 	w.mu.Unlock()
 	if draining {
 		sendErr(fc, f.run, ecDraining, "worker is draining")
-		return
+		return nil, nil
 	}
-	if err := s.prepare(f.run, spec); err != nil {
-		sendErr(fc, f.run, errorCode(err), err.Error())
-		return
-	}
-	fc.write(&frame{typ: fReady, run: f.run})
+	return s, spec
 }
 
 func (w *Worker) handleGo(fc *frameConn, f *frame) {

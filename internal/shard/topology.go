@@ -51,20 +51,11 @@ type Shard struct {
 	// Route maps the shard's own outgoing half-edges (same CSR
 	// indexing as Off) to destination slots; see the Topology contract.
 	Route []int32
-	// ValBase places the shard's nodes in a run's flat per-node value
-	// table: the value Nodes[i] publishes in a broadcast round lives at
-	// ValBase+i.  Shards tile [0, N) in shard order, so each shard
-	// writes one contiguous block and only block edges share a cache
-	// line.
+	// ValBase places the shard's nodes in a run's flat per-node
+	// tables: node Nodes[i] sits at ValBase+i.  Shards tile [0, N) in
+	// shard order, so each shard's block is contiguous and only block
+	// edges share a cache line.
 	ValBase int32
-	// BSrc is the broadcast-model sender table: for every local inbox
-	// slot (same indexing as Route), the value-table position (see
-	// ValBase) of the node whose published value feeds the slot.  In
-	// the broadcast model the sender of a slot is a static property of
-	// the topology, so engines that intern each node's per-round value
-	// (the wire path) deliver by gathering BSrc[slot] from the value
-	// table, with no per-slot scatter and no halo drain.
-	BSrc []int32
 	// HaloOut is the size of the shard's halo-out buffer.
 	HaloOut int
 	// Out describes the halo-out buffer's layout as outgoing segments,
@@ -95,17 +86,10 @@ func (s *Shard) InboxLen() int { return int(s.Off[len(s.Nodes)]) }
 // HaloIn is one incoming halo segment: messages [Lo, Lo+len(Slots)) of
 // shard Src's halo-out buffer, delivered in order to the owning
 // shard's inbox at Slots.
-//
-// SrcVal additionally records, per message, the value-table position
-// (see Shard.ValBase) of the node that sent it.  The interned broadcast
-// path, which publishes one value per node instead of filling per-edge
-// halo-out slots, reads it to find which cut-edge receivers a non-nil
-// value wakes; every other path drains the per-edge halo-out buffer.
 type HaloIn struct {
-	Src    int32
-	Lo     int32
-	Slots  []int32
-	SrcVal []int32
+	Src   int32
+	Lo    int32
+	Slots []int32
 }
 
 // segment is one (source shard, destination shard) slice of a halo-out
@@ -119,11 +103,10 @@ type segment struct {
 }
 
 // cutEntry is one cut half-edge during halo layout: the destination
-// inbox slot, the source node's value-table position, and the
-// source-side route index to back-patch once the segment order is
-// fixed.
+// inbox slot and the source-side route index to back-patch once the
+// segment order is fixed.
 type cutEntry struct {
-	slot, srcVal, routeJ int32
+	slot, routeJ int32
 }
 
 // Build assembles the execution view of ft under partition p.
@@ -148,7 +131,6 @@ func Build(ft *graph.FlatTopology, p *Partition) *Topology {
 			Off:     off,
 			Route:   make([]int32, off[len(nodes)]),
 			ValBase: valBase,
-			BSrc:    make([]int32, off[len(nodes)]),
 		}
 		valBase += int32(len(nodes))
 	}
@@ -189,22 +171,16 @@ func Build(ft *graph.FlatTopology, p *Partition) *Topology {
 	for s := 0; s < k; s++ {
 		sh := &st.Shards[s]
 		j := 0
-		for i, v := range sh.Nodes {
+		for _, v := range sh.Nodes {
 			for g := ft.Off(int(v)); g < ft.Off(int(v)+1); g++ {
 				h := halves[g]
 				t := p.ShardOf[h.To]
 				dst := st.Shards[t].Off[localIdx[h.To]] + int32(h.RevPort)
-				// Whatever the delivery path, slot dst of shard t is fed
-				// by this node; record the static sender for the
-				// interned broadcast gather.
-				val := sh.ValBase + int32(i)
-				st.Shards[t].BSrc[dst] = val
 				if t == int32(s) {
 					sh.Route[j] = dst
 				} else {
 					sg := segs[s][t]
-					sg.entries = append(sg.entries,
-						cutEntry{slot: dst, srcVal: val, routeJ: int32(j)})
+					sg.entries = append(sg.entries, cutEntry{slot: dst, routeJ: int32(j)})
 				}
 				j++
 			}
@@ -222,16 +198,10 @@ func Build(ft *graph.FlatTopology, p *Partition) *Topology {
 			sort.Slice(sg.entries, func(a, b int) bool {
 				return sg.entries[a].slot < sg.entries[b].slot
 			})
-			in := HaloIn{
-				Src:    int32(s),
-				Lo:     sg.off,
-				Slots:  make([]int32, len(sg.entries)),
-				SrcVal: make([]int32, len(sg.entries)),
-			}
+			in := HaloIn{Src: int32(s), Lo: sg.off, Slots: make([]int32, len(sg.entries))}
 			for pos, e := range sg.entries {
 				sh.Route[e.routeJ] = ^(sg.off + int32(pos))
 				in.Slots[pos] = e.slot
-				in.SrcVal[pos] = e.srcVal
 			}
 			st.Shards[t].In = append(st.Shards[t].In, in)
 		}
@@ -369,64 +339,14 @@ func (st *Topology) Validate() error {
 			}
 		}
 	}
-	// The value table: shards must tile [0, N) in shard order, and
-	// owner maps each position back to its node.
-	owner := make([]int32, 0, ft.N())
+	// The per-node tables: shards must tile [0, N) in shard order.
+	var base int32
 	for s := range st.Shards {
 		sh := &st.Shards[s]
-		if int(sh.ValBase) != len(owner) {
-			return fmt.Errorf("shard %d: values start at %d, want %d", s, sh.ValBase, len(owner))
+		if sh.ValBase != base {
+			return fmt.Errorf("shard %d: nodes start at %d, want %d", s, sh.ValBase, base)
 		}
-		owner = append(owner, sh.Nodes...)
-	}
-	// The interned-gather path: BSrc must attribute every inbox slot —
-	// local and cut alike — to the global node on the far side of its
-	// half-edge.
-	for t := range st.Shards {
-		sh := &st.Shards[t]
-		if len(sh.BSrc) != sh.InboxLen() {
-			return fmt.Errorf("shard %d: BSrc covers %d slots, want %d", t, len(sh.BSrc), sh.InboxLen())
-		}
-		for i, v := range sh.Nodes {
-			for p := 0; p < int(sh.Off[i+1]-sh.Off[i]); p++ {
-				h := halves[ft.Off(int(v))+p]
-				e := sh.BSrc[int(sh.Off[i])+p]
-				if e < 0 || int(e) >= len(owner) {
-					return fmt.Errorf("shard %d: BSrc slot %d points at invalid value %d",
-						t, int(sh.Off[i])+p, e)
-				}
-				if got := owner[e]; int(got) != h.To {
-					return fmt.Errorf("shard %d: node %d port %d gathers from node %d, want %d",
-						t, v, p, got, h.To)
-				}
-			}
-		}
-	}
-	// The sleeping path's cut-edge wakes: SrcVal must attribute every
-	// cut slot to the global node on the far side of its half-edge.
-	for t := range st.Shards {
-		sh := &st.Shards[t]
-		for _, in := range sh.In {
-			if len(in.SrcVal) != len(in.Slots) {
-				return fmt.Errorf("shard %d: halo segment from %d has %d source values for %d slots",
-					t, in.Src, len(in.SrcVal), len(in.Slots))
-			}
-			for i, slot := range in.Slots {
-				if in.SrcVal[i] < 0 || int(in.SrcVal[i]) >= len(owner) {
-					return fmt.Errorf("shard %d: halo source value %d out of range", t, in.SrcVal[i])
-				}
-				sender := owner[in.SrcVal[i]]
-				// Locate the receiving (node, port) of this slot and
-				// check its far endpoint is the claimed sender.
-				ni := sort.Search(len(sh.Off)-1, func(x int) bool { return sh.Off[x+1] > slot })
-				v := sh.Nodes[ni]
-				h := halves[ft.Off(int(v))+int(slot-sh.Off[ni])]
-				if int32(h.To) != sender {
-					return fmt.Errorf("shard %d: slot %d pulls from node %d, want %d",
-						t, slot, sender, h.To)
-				}
-			}
-		}
+		base += int32(len(sh.Nodes))
 	}
 	return nil
 }

@@ -176,9 +176,9 @@ func TestEngineAllocsPerRound(t *testing.T) {
 		{"sequential-traced", Options{Engine: Sequential, Trace: true}, 0.5},
 		{"sharded-4-traced", Options{Engine: Sharded, Workers: 4, Trace: true}, 2},
 	}
-	// Each engine runs on its default delivery path (interned broadcast
-	// values, wire lanes for quietWire) and forced boxed; the 0-allocs
-	// steady state must hold on every one of them.
+	// Each engine runs on its default delivery path (wire lanes for
+	// quietWire) and forced boxed, which broadcast runs ignore; the
+	// 0-allocs steady state must hold on every one of them.
 	for _, c := range cases {
 		for _, boxed := range []bool{false, true} {
 			opt := c.opt

@@ -85,8 +85,8 @@ func (p *wirePortProg) RecvWire(r int, in []uint64) {
 }
 
 // BenchmarkEngineRound measures per-round engine cost at n=10000, Δ≤6,
-// for each delivery path (port word lanes, boxed port, interned
-// broadcast) on one shard and on two and four, plus the CSP oracle on
+// for each delivery path (port word lanes, boxed port, broadcast value
+// slots) on one shard and on two and four, plus the CSP oracle on
 // the boxed port path.  Views and pools are built before the timer
 // starts, so the figure is the rounds alone.
 func BenchmarkEngineRound(b *testing.B) {

@@ -40,10 +40,6 @@ type runner struct {
 
 	round    int         // current round; workers read it after the barrier
 	wireFail atomic.Bool // a SendWire reported an unencodable value
-
-	// Broadcast interned path (see wire.go); delivery gathers each
-	// node's messages from the published per-sender values.
-	bscratch [][]Message // per-worker gather scratch
 }
 
 func (r *runner) n() int { return r.top.N() }
@@ -131,9 +127,9 @@ type counters struct {
 	_           [48]byte
 }
 
-// recv runs node v's receive step for the round, scrambling broadcast
-// delivery order when configured.  Shared by the interned path and the
-// CSP engine so delivery semantics cannot diverge between them.
+// recv runs node v's receive step for the round on the CSP engine,
+// scrambling broadcast delivery order when configured, as ShardStep
+// does.
 func (r *runner) recv(v, round int, in []Message) {
 	if r.isBroadcast() {
 		if r.opt.ScrambleSeed != 0 {

@@ -32,11 +32,11 @@ import (
 // gate plus the full `go test -race ./...` on every push.
 
 // engineVariant is one engine configuration under test.  The barrier
-// engines appear twice: once on their default delivery path (the wire
-// path — word lanes for qualifying port programs, interned value
-// tables for broadcast) and once forced onto the boxed path, so the
-// matrices pin wire and boxed rows against each other and against the
-// CSP oracle, which is always boxed.
+// engines appear twice: once on their default delivery path (word
+// lanes for qualifying port programs) and once forced onto the boxed
+// path, so the matrices pin wire and boxed rows against each other and
+// against the CSP oracle, which is always boxed.  Broadcast programs
+// have one delivery path, so their two rows run it twice.
 type engineVariant struct {
 	name    string
 	engine  sim.Engine

@@ -47,10 +47,10 @@
 // not fit a fixed width (a program returns lane width 0 for them)
 // travel through the boxed []Message inboxes instead, so a program can
 // keep tight lanes for its dominant rounds and box only the fat ones.
-// Broadcast programs need no opt-in: each node's one value per round
-// is interned in a per-shard table and receivers gather it through the
-// topology's static sender table, eliminating the per-half-edge
-// scatter entirely.  Options.NoWire forces the fully boxed path; a
+// Broadcast programs have one path: each node's one value per round
+// goes into its value slot and its cut-edge halo slots, and receivers
+// gather it through a sender table, with no per-half-edge scatter
+// inside a shard.  Options.NoWire forces the fully boxed port path; a
 // wire value that outgrows its lane aborts with ErrWireOverflow and
 // the algorithm packages rerun boxed, so results never depend on the
 // path taken.
@@ -61,18 +61,14 @@
 // sleeping node's Send and Recv; a live message (non-nil, or a lane
 // with a non-zero word 0) wakes its receiver for that round's Recv
 // only, and a shard with nothing due and nothing woken skips the round
-// in O(1).  Broadcast programs sleep on the interned path when every
-// program of the run does: a node that sleeps past the next round has
-// both of its double-buffered value slots cleared, the next parity's at
-// its Recv and the current one's in the following send phase, once
-// every gather of the round is done (runSharded).  Port programs sleep
-// in ShardStep, so the in-process engines and the Distributed engine
-// sleep alike, per shard whose programs all do; the same parity rule
-// clears a sleeper's halo-out and boxed inbox slots (ShardStep gives
-// the details).  Nil messages are never counted, so Stats do not
-// change.  The CSP engine, the boxed broadcast path and runs of
-// programs that are not Sleepers stay dense, and they are the
-// references sleeping runs are held to.
+// in O(1).  Both models sleep in ShardStep, so the in-process engines
+// and the Distributed engine sleep alike, per shard whose programs all
+// do; a node that sleeps past the next round has its halo-out slots of
+// both parities, its value slot and its boxed inbox slots cleared
+// (ShardStep gives the details).  Nil messages are never counted, so
+// Stats do not change.  The CSP engine and runs of programs that are
+// not Sleepers stay dense, and they are the references sleeping runs
+// are held to.
 //
 // Sharding is an execution detail only: observable behaviour — outputs
 // and Stats — must stay bit-identical to the synchronous port-numbering
@@ -290,11 +286,12 @@ type Options struct {
 	// the run returns an error if an observer is set).
 	Observer func(RoundInfo)
 	// NoWire forces the boxed delivery path: port-model programs run
-	// through Send/Recv even when they implement WirePortProgram, and
-	// broadcast delivery scatters boxed values instead of gathering
-	// from the interned per-node table.  Outputs and Stats are
-	// identical either way (the equivalence suite asserts it); the
-	// switch exists for those tests and for ablation benchmarks.
+	// through Send/Recv even when they implement WirePortProgram.
+	// Outputs and Stats are identical either way (the equivalence
+	// suite asserts it); the switch exists for those tests and for
+	// ablation benchmarks.  Broadcast programs have one delivery path
+	// (per-node value slots, see ShardStep) and ignore it, so a dense
+	// broadcast reference is a run of programs that are not Sleepers.
 	// Barrier engines only; the CSP engine is always boxed.
 	NoWire bool
 	// Dist supplies the process-spanning runner the Distributed engine

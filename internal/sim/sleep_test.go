@@ -123,6 +123,14 @@ func (d densePort) Send(r int) []sim.Message       { return d.p.Send(r) }
 func (d densePort) Recv(r int, msgs []sim.Message) { d.p.Recv(r, msgs) }
 func (d densePort) Output() any                    { return d.p.Output() }
 
+// denseBcast is densePort for broadcast programs.
+type denseBcast struct{ p sim.BroadcastProgram }
+
+func (d denseBcast) Init(env sim.Env)               {}
+func (d denseBcast) Send(r int) sim.Message         { return d.p.Send(r) }
+func (d denseBcast) Recv(r int, msgs []sim.Message) { d.p.Recv(r, msgs) }
+func (d denseBcast) Output() any                    { return d.p.Output() }
+
 // deepClone returns a deep copy of v, unexported fields included, so a
 // program's state can be compared with itself a round later.
 func deepClone(v reflect.Value) reflect.Value {
@@ -464,13 +472,14 @@ func (p *pjitter) Output() any { return p.state }
 
 // TestSleepKernelMatchesDense runs jitter programs on the sleeping
 // kernel at several shard counts and scramble seeds and holds outputs
-// and Stats to the dense paths (the boxed kernel and the CSP engine),
-// which never consult SleepUntil.  The sleeping runs must also have
-// skipped node-rounds, or the test would not be testing sleep.
+// and Stats to the dense paths (the same programs stepped through
+// denseBcast, and the CSP engine), which never consult SleepUntil.
+// The sleeping runs must also have skipped node-rounds, or the test
+// would not be testing sleep.
 func TestSleepKernelMatchesDense(t *testing.T) {
 	g := graph.RandomRegular(96, 4, 7)
 	const rounds = 200
-	run := func(opt sim.Options) ([]uint64, sim.Stats, int) {
+	run := func(opt sim.Options, dense bool) ([]uint64, sim.Stats, int) {
 		recvs := 0
 		counter := &recvs
 		switch opt.Engine {
@@ -484,6 +493,9 @@ func TestSleepKernelMatchesDense(t *testing.T) {
 		progs := make([]sim.BroadcastProgram, g.N())
 		for v := range progs {
 			progs[v] = &jitter{state: mix(uint64(v) + 1), recvs: counter}
+			if dense {
+				progs[v] = denseBcast{progs[v]}
+			}
 		}
 		st, err := sim.RunBroadcast(g, progs, rounds, opt)
 		if err != nil {
@@ -496,15 +508,15 @@ func TestSleepKernelMatchesDense(t *testing.T) {
 		return out, st, recvs
 	}
 	for _, seed := range []int64{0, 42} {
-		ref, refStats, denseRecvs := run(sim.Options{Engine: sim.Sequential, NoWire: true, ScrambleSeed: seed})
+		ref, refStats, denseRecvs := run(sim.Options{Engine: sim.Sequential, ScrambleSeed: seed}, true)
 		if denseRecvs != rounds*g.N() {
-			t.Fatalf("boxed run made %d receives, want %d", denseRecvs, rounds*g.N())
+			t.Fatalf("dense run made %d receives, want %d", denseRecvs, rounds*g.N())
 		}
-		csp, cspStats, _ := run(sim.Options{Engine: sim.CSP, ScrambleSeed: seed})
+		csp, cspStats, _ := run(sim.Options{Engine: sim.CSP, ScrambleSeed: seed}, false)
 		mustEqualStats(t, refStats, cspStats)
 		for v := range ref {
 			if csp[v] != ref[v] {
-				t.Fatalf("seed %d: CSP and boxed disagree at node %d", seed, v)
+				t.Fatalf("seed %d: CSP and dense disagree at node %d", seed, v)
 			}
 		}
 		for _, k := range []int{1, 2, 3, 4, 8} {
@@ -513,7 +525,7 @@ func TestSleepKernelMatchesDense(t *testing.T) {
 				if k == 1 {
 					opt.Engine = sim.Sequential
 				}
-				got, st, recvs := run(opt)
+				got, st, recvs := run(opt, false)
 				mustEqualStats(t, refStats, st)
 				for v := range ref {
 					if got[v] != ref[v] {
@@ -609,13 +621,18 @@ func TestSleepKernelMatchesDense(t *testing.T) {
 
 // TestSleepRunHooks: rounds the sleeping kernel skips, whole or in part,
 // still pass through the round barrier — the observer sees the same
-// cumulative stream as on a dense path (boxed broadcast, non-Sleeper
-// port programs), tracing records every round, and a round budget
+// cumulative stream as on a dense path (the same programs wrapped as
+// non-Sleepers), tracing records every round, and a round budget
 // stops the run at the same boundary.
 func TestSleepRunHooks(t *testing.T) {
 	ins := scFamilies()["random-f3k6"]
-	observe := func(opt sim.Options) ([]sim.RoundInfo, sim.Stats) {
+	observe := func(opt sim.Options, dense bool) ([]sim.RoundInfo, sim.Stats) {
 		progs, rounds := fracpackProgs(ins)
+		if dense {
+			for v, p := range progs {
+				progs[v] = denseBcast{p}
+			}
+		}
 		var seen []sim.RoundInfo
 		opt.Observer = func(ri sim.RoundInfo) { seen = append(seen, ri) }
 		opt.Trace = true
@@ -628,9 +645,9 @@ func TestSleepRunHooks(t *testing.T) {
 		}
 		return seen, st
 	}
-	ref, refStats := observe(sim.Options{NoWire: true})
+	ref, refStats := observe(sim.Options{}, true)
 	for _, opt := range []sim.Options{{}, {Engine: sim.Sharded, Workers: 3}} {
-		got, st := observe(opt)
+		got, st := observe(opt, false)
 		mustEqualStats(t, refStats, st)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("%v: observer stream diverges from the dense run's", opt.Engine)

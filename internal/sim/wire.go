@@ -28,21 +28,15 @@ import "errors"
 // The wire path is an execution detail in exactly the sense sharding
 // is: outputs and Stats must be bit-identical to the boxed path, and
 // the equivalence suite pins it (TestEquiv*, TestWireStatsParity).
-// Options.NoWire forces the boxed path for any program, which is how
-// the tests get their reference rows.
+// Options.NoWire forces the boxed path for any port program, which is
+// how the tests get their reference rows.
 //
 // # Broadcast model
 //
-// Broadcast programs need no opt-in: every node publishes exactly one
-// value per round, so the kernel interns that value once in a per-shard
-// value table and delivers lanes of *senders*, not payloads.  The
-// sender of every inbox slot is a static property of the topology (the
-// far endpoint of the slot's half-edge), so the per-half-edge scatter
-// disappears entirely: the send phase writes n values, and the receive
-// phase gathers each node's messages through the shard.Shard.BSrc
-// table, which replaces the halo drain as well.  Options.NoWire
-// restores the boxed path here too: each node's value is scattered
-// through Route to every port, exactly as a port-model round.
+// Broadcast programs take no part: every node sends exactly one value
+// per round, and ShardStep delivers it through per-node value slots on
+// one path for every engine (see ShardStep).  Options.NoWire has no
+// effect on them.
 
 // ErrWireOverflow is returned by a run that chose the wire path and
 // then met a value its declared lane width cannot hold (for example a
