@@ -281,9 +281,10 @@ type VertexCoverResult struct {
 	y []rational.Rat
 }
 
-// Verify re-checks every paper invariant: the packing is feasible and
-// maximal, Cover is exactly the saturated nodes, and the duality
-// certificate w(C) <= 2·Σy(e) holds.  It returns nil on success.
+// Verify re-checks every paper invariant node by node: the packing is
+// feasible and maximal, and Cover is exactly the saturated nodes.
+// Those local facts imply the duality certificate w(C) <= 2·Σy(e), so
+// the global sum is never formed.  It returns nil on success.
 func (r *VertexCoverResult) Verify() error {
 	return check.VCResult(r.g, r.y, r.Cover)
 }
@@ -368,8 +369,10 @@ type SetCoverResult struct {
 	y   []rational.Rat
 }
 
-// Verify re-checks the paper invariants: feasibility, maximality, and
-// the f-approximation certificate w(C) <= f·Σy(u).
+// Verify re-checks the paper invariants node by node: the packing is
+// feasible and maximal, and Cover is exactly the saturated subsets.
+// Those local facts imply the f-approximation certificate
+// w(C) <= f·Σy(u), so the global sum is never formed.
 func (r *SetCoverResult) Verify() error {
 	return check.SCResult(r.ins, r.y, r.Cover, r.ins.MaxF())
 }

@@ -8,6 +8,7 @@ import (
 	"context"
 	"math/big"
 	"testing"
+	"time"
 
 	"anoncover/internal/baselines"
 	"anoncover/internal/bipartite"
@@ -410,6 +411,48 @@ func BenchmarkSolverReuse(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkVerify: VertexCoverResult.Verify against the run it
+// certifies, on a compiled Sequential session with weights up to 1000.
+// verify-ms and run-ms are per op; verify/run is their ratio, which the
+// per-node certificate keeps well below 1.
+func BenchmarkVerify(b *testing.B) {
+	families := []struct {
+		name string
+		g    *Graph
+	}{
+		{"grid-40x40", GridGraph(40, 40)},
+		{"powerlaw-1000-d12", PowerLawBoundedGraph(1000, 3, 12, 9)},
+		{"random-1600x3200-d6", RandomGraph(1600, 3200, 6, 9)},
+	}
+	for _, fam := range families {
+		fam.g.WeighRandom(1000, 10)
+		b.Run(fam.name, func(b *testing.B) {
+			s, err := Compile(fam.g, WithEngine(EngineSequential))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			var run, verify time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				res, err := s.VertexCover(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				if err := res.Verify(); err != nil {
+					b.Fatal(err)
+				}
+				run += t1.Sub(t0)
+				verify += time.Since(t1)
+			}
+			b.ReportMetric(float64(verify)/1e6/float64(b.N), "verify-ms")
+			b.ReportMetric(float64(run)/1e6/float64(b.N), "run-ms")
+			b.ReportMetric(float64(verify)/float64(run), "verify/run")
 		})
 	}
 }

@@ -25,7 +25,7 @@
 //
 // Smoke it with curl:
 //
-//	curl -s -X POST --data-binary @graph.txt 'localhost:8080/v1/vertexcover?verify=true'
+//	curl -s -X POST --data-binary @graph.txt 'localhost:8080/v1/vertexcover'
 //	curl -s -X POST -d '{"weights":[2,1,3]}' 'localhost:8080/v1/vertexcover/<fingerprint>'
 //	curl -s localhost:8080/v1/stats
 //	curl -s localhost:8080/metrics

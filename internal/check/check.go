@@ -2,6 +2,26 @@
 // objects: edge packings (Section 1.1), fractional packings (Section 1.2),
 // the covers they induce, and the LP-duality ratio certificates that bound
 // approximation quality without knowing the optimum.
+//
+// VCResult and SCResult certify a cover node by node.  Each node's
+// load is a sum over its own ports, so every check is local and the
+// arithmetic stays on the rational fast path.  The approximation
+// ratio follows from those local facts, as in the paper (Sections 1.1
+// and 1.2).  Take a feasible packing y and a cover C that is exactly
+// the set C(y) of saturated nodes.  Then
+//
+//	w(C) = Σ_{v∈C} w_v = Σ_{v∈C} y[v] ≤ Σ_v y[v] = 2·Σ_e y(e)
+//
+// for vertex cover, because y ≥ 0 and each edge loads two nodes.
+// For set cover each element lies in at most f subsets, so
+//
+//	w(C) = Σ_{s∈C} y[s] ≤ Σ_u deg(u)·y(u) ≤ f·Σ_u y(u).
+//
+// Feasibility gives Σy ≤ OPT by LP weak duality, so C is a 2- or
+// f-approximation.  Neither function sums y over the whole instance:
+// that global sum leaves the fast path and costs more than the run.
+// VCDualityCertificate and SCDualityCertificate keep the global
+// form, w(C) ≤ 2·Σy and w(C) ≤ f·Σy, and do not require C = C(y).
 package check
 
 import (
@@ -85,8 +105,10 @@ func edgesSaturated(g *graph.G, sat []bool) error {
 
 // VCResult verifies a vertex-cover answer against every invariant of
 // Section 3 with one computation of the edge loads: y is a feasible
-// and maximal edge packing, c is exactly the set C(y) of saturated
-// nodes, and the duality certificate w(C) <= 2·Σ_e y(e) holds.
+// and maximal edge packing, and c is exactly the set C(y) of saturated
+// nodes, so c covers every edge.  These local facts prove the duality
+// certificate, which is therefore not summed: with y >= 0,
+// w(C) = Σ_{v∈C} y[v] <= Σ_v y[v] = 2·Σ_e y(e).
 func VCResult(g *graph.G, y []rational.Rat, c []bool) error {
 	loads, err := edgeFeasibleLoads(g, y)
 	if err != nil {
@@ -102,10 +124,7 @@ func VCResult(g *graph.G, y []rational.Rat, c []bool) error {
 				v, c[v], sat[v], loads[v], g.Weight(v))
 		}
 	}
-	if err := edgesSaturated(g, sat); err != nil {
-		return err
-	}
-	return vcCertificate(g, y, c)
+	return edgesSaturated(g, sat)
 }
 
 // VertexCover verifies that c covers every edge.
@@ -143,10 +162,6 @@ func VCDualityCertificate(g *graph.G, y []rational.Rat, c []bool) error {
 	if err := VertexCover(g, c); err != nil {
 		return err
 	}
-	return vcCertificate(g, y, c)
-}
-
-func vcCertificate(g *graph.G, y []rational.Rat, c []bool) error {
 	bound := rational.Sum(y...).MulInt(2)
 	w := rational.FromInt(CoverWeight(g, c))
 	if w.Cmp(bound) > 0 {
@@ -213,7 +228,11 @@ func FracPackingMaximal(ins *bipartite.Instance, y []rational.Rat) error {
 	if err != nil {
 		return err
 	}
-	sat := saturatedSubsets(ins, loads)
+	return elementsSaturated(ins, saturatedSubsets(ins, loads))
+}
+
+// elementsSaturated verifies that every element has a subset in sat.
+func elementsSaturated(ins *bipartite.Instance, sat []bool) error {
 	for v := ins.S(); v < ins.N(); v++ {
 		if ins.Deg(v) == 0 {
 			return fmt.Errorf("check: element %d has no subsets", ins.ElementIndex(v))
@@ -249,20 +268,6 @@ func SCDualityCertificate(ins *bipartite.Instance, y []rational.Rat, cover []boo
 	if err := FracPackingFeasible(ins, y); err != nil {
 		return err
 	}
-	return scCoverCertificate(ins, y, cover, f)
-}
-
-// SCResult verifies a set-cover answer with one computation of the
-// subset loads: y is a feasible and maximal fractional packing, cover
-// covers every element, and w(C) <= f·Σ_u y(u).
-func SCResult(ins *bipartite.Instance, y []rational.Rat, cover []bool, f int) error {
-	if err := FracPackingMaximal(ins, y); err != nil {
-		return err
-	}
-	return scCoverCertificate(ins, y, cover, f)
-}
-
-func scCoverCertificate(ins *bipartite.Instance, y []rational.Rat, cover []bool, f int) error {
 	if err := SetCover(ins, cover); err != nil {
 		return err
 	}
@@ -272,4 +277,31 @@ func scCoverCertificate(ins *bipartite.Instance, y []rational.Rat, cover []bool,
 		return fmt.Errorf("check: certificate fails: w(C) = %v > f·Σy = %v", w, bound)
 	}
 	return nil
+}
+
+// SCResult verifies a set-cover answer with one computation of the
+// subset loads: y is a feasible and maximal fractional packing, cover
+// is exactly the set C(y) of saturated subsets, so it covers every
+// element, and f is at least the instance's element degree.  These
+// local facts prove the certificate, which is therefore not summed:
+// w(C) = Σ_{s∈C} y[s] <= Σ_u deg(u)·y(u) <= f·Σ_u y(u).
+func SCResult(ins *bipartite.Instance, y []rational.Rat, cover []bool, f int) error {
+	if f < ins.MaxF() {
+		return fmt.Errorf("check: f = %d below the element degree %d", f, ins.MaxF())
+	}
+	loads, err := fracFeasibleLoads(ins, y)
+	if err != nil {
+		return err
+	}
+	if len(cover) != ins.S() {
+		return fmt.Errorf("check: cover length %d for %d subsets", len(cover), ins.S())
+	}
+	sat := saturatedSubsets(ins, loads)
+	for s := range sat {
+		if cover[s] != sat[s] {
+			return fmt.Errorf("check: subset %d: in cover %v but saturated %v (y[s] = %v, w = %d)",
+				s, cover[s], sat[s], loads[s], ins.Weight(s))
+		}
+	}
+	return elementsSaturated(ins, sat)
 }

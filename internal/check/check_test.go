@@ -161,3 +161,34 @@ func TestLoadsMatchDefinition(t *testing.T) {
 		}
 	}
 }
+
+// TestSCResultTiesCoverToPacking: a cover holding an unsaturated subset
+// is rejected even when f·Σy happens to pay for it.  s1 = {u1} carries
+// load y(u1) = 0 < w = 1, yet w(C) = 2 <= f·Σy = 2·1.
+func TestSCResultTiesCoverToPacking(t *testing.T) {
+	ins := bipartite.NewBuilder(2, 2).AddEdge(0, 0).AddEdge(0, 1).AddEdge(1, 1).Build()
+	y := []rational.Rat{q(1, 1), q(0, 1)}
+	cover := []bool{true, true}
+	if err := SCDualityCertificate(ins, y, cover, 2); err != nil {
+		t.Fatalf("premise: the global certificate should hold: %v", err)
+	}
+	if err := SCResult(ins, y, cover, 2); err == nil {
+		t.Fatal("SCResult accepted unsaturated subset 1 in the cover")
+	}
+	if err := SCResult(ins, y, []bool{true, false}, 2); err != nil {
+		t.Fatalf("the cover C(y) rejected: %v", err)
+	}
+}
+
+// TestSCResultRejectsSmallF: the per-node proof needs f to bound every
+// element's degree, so an f below it is rejected.
+func TestSCResultRejectsSmallF(t *testing.T) {
+	ins := scInstance()
+	y := []rational.Rat{q(1, 1), q(1, 1), q(2, 1)}
+	if err := SCResult(ins, y, []bool{true, true}, ins.MaxF()); err != nil {
+		t.Fatal(err)
+	}
+	if err := SCResult(ins, y, []bool{true, true}, ins.MaxF()-1); err == nil {
+		t.Fatal("f below the element degree accepted")
+	}
+}

@@ -179,6 +179,7 @@ func (b *vcBatcher) run(items []*vcBatchItem) {
 		if verify {
 			if verr := r.Verify(); verr != nil {
 				b.s.ctrs.RunErrors.Add(1)
+				b.s.ctrs.CertificateFailures.Add(1)
 				for _, it := range grp.items {
 					it.status = http.StatusInternalServerError
 					it.errMsg = "INVARIANT VIOLATION: " + verr.Error()

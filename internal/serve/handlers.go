@@ -76,7 +76,14 @@ func (s *Server) parseRunParams(r *http.Request) (runParams, error) {
 	if s.cfg.MaxBudget > 0 && (p.budget == 0 || p.budget > s.cfg.MaxBudget) {
 		p.budget = s.cfg.MaxBudget
 	}
-	p.verify = q.Get("verify") == "true" || q.Get("verify") == "1"
+	p.verify = true
+	if v := q.Get("verify"); v != "" {
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			return p, fmt.Errorf("bad verify %q", v)
+		}
+		p.verify = b
+	}
 	p.earlyExit = q.Get("earlyexit") == "true" || q.Get("earlyexit") == "1"
 	if sc := q.Get("scramble"); sc != "" {
 		n, err := strconv.ParseInt(sc, 10, 64)
@@ -678,11 +685,12 @@ func retryShared(status int, ctx context.Context) bool {
 		ctx.Err() == nil
 }
 
-// exec runs the session once, verifies the run when asked, and builds
-// the response under its cache label: cacheLabel, or dist_failover
-// when a fleet fault moved the run to a local solver.  On failure it
-// returns the classified status and message (counters already
-// applied); on success errMsg is empty and status is 0.
+// exec runs the session once, verifies the run unless the request
+// opted out, and builds the response under its cache label:
+// cacheLabel, or dist_failover when a fleet fault moved the run to a
+// local solver.  On failure it returns the classified status and
+// message (counters already applied); on success errMsg is empty and
+// status is 0.
 func (s *Server) exec(ctx context.Context, p runParams, e *entry, weights []int64,
 	cacheLabel string, obs func(anoncover.RoundInfo)) (response, string, int, string) {
 
@@ -701,6 +709,7 @@ func (s *Server) exec(ctx context.Context, p runParams, e *entry, weights []int6
 		traceFrom(ctx).mark(phaseVerify, time.Since(t0))
 		if verr != nil {
 			s.ctrs.RunErrors.Add(1)
+			s.ctrs.CertificateFailures.Add(1)
 			return nil, "", http.StatusInternalServerError, fmt.Sprintf("INVARIANT VIOLATION: %v", verr)
 		}
 	}

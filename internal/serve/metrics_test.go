@@ -264,9 +264,10 @@ func TestMetricsExposition(t *testing.T) {
 
 	bodyA, _ := gridText(t, 4, 4, nil)
 	bodyAw, _ := gridText(t, 4, 4, testWeights(16, 7))
-	vcPost("?verify=true", bodyA) // compile
-	vcPost("", bodyAw)            // hit + weight update
-	vcPost("", bodyAw)            // memo hit
+	vcPost("?verify=true", bodyA)   // compile
+	vcPost("", bodyAw)              // hit + weight update
+	vcPost("", bodyAw)              // memo hit
+	vcPost("?verify=false", bodyAw) // plain run: a memo key of its own
 	var scBuf bytes.Buffer
 	if err := anoncover.WriteSetCover(&scBuf, anoncover.RandomSetCover(10, 30, 3, 6, 9, 5)); err != nil {
 		t.Fatal(err)
@@ -286,12 +287,13 @@ func TestMetricsExposition(t *testing.T) {
 	// Scrape-time counter mirrors agree with /v1/stats.
 	st := serverStats(t, cl, ts.URL)
 	for name, want := range map[string]int64{
-		"anoncover_compiles_total":       st.Compiles,
-		"anoncover_cache_hits_total":     st.CacheHits,
-		"anoncover_weight_updates_total": st.WeightUpdates,
-		"anoncover_memo_hits_total":      st.MemoHits,
-		"anoncover_runs_total":           st.Runs,
-		"anoncover_run_errors_total":     st.RunErrors,
+		"anoncover_compiles_total":             st.Compiles,
+		"anoncover_cache_hits_total":           st.CacheHits,
+		"anoncover_weight_updates_total":       st.WeightUpdates,
+		"anoncover_memo_hits_total":            st.MemoHits,
+		"anoncover_runs_total":                 st.Runs,
+		"anoncover_run_errors_total":           st.RunErrors,
+		"anoncover_certificate_failures_total": st.CertificateFailures,
 	} {
 		if got, ok := first[name]; !ok || got != float64(want) {
 			t.Errorf("%s = %v (present=%v), want %d", name, got, ok, want)

@@ -27,6 +27,10 @@ type counters struct {
 	Batched       atomic.Int64 // requests executed through the batch window
 	BatchRuns     atomic.Int64 // pooled batch runs executed (Batched/BatchRuns = mean occupancy)
 	DistFailovers atomic.Int64 // distributed attempts transparently re-executed on a local solver
+
+	// CertificateFailures counts runs whose cover failed verification
+	// (also counted in RunErrors); it must stay 0.
+	CertificateFailures atomic.Int64
 }
 
 // Stats is the JSON shape of /v1/stats.
@@ -43,6 +47,9 @@ type Stats struct {
 	Coalesced     int64 `json:"coalesced"`
 	Batched       int64 `json:"batched"`
 	BatchRuns     int64 `json:"batch_runs"`
+	// CertificateFailures counts runs whose cover failed verification
+	// (also counted in RunErrors); it must stay 0.
+	CertificateFailures int64 `json:"certificate_failures"`
 	// BatchOccupancy is the mean number of requests per pooled batch
 	// run (Batched / BatchRuns); 0 while no batch has run.
 	BatchOccupancy float64 `json:"batch_occupancy"`
@@ -81,6 +88,8 @@ func (c *counters) snapshot() Stats {
 		Coalesced:     c.Coalesced.Load(),
 		Batched:       c.Batched.Load(),
 		BatchRuns:     c.BatchRuns.Load(),
+
+		CertificateFailures: c.CertificateFailures.Load(),
 	}
 	if st.BatchRuns > 0 {
 		st.BatchOccupancy = float64(st.Batched) / float64(st.BatchRuns)

@@ -111,6 +111,7 @@ func newTelemetry(s *Server, logger *slog.Logger, runLogSize int) *telemetry {
 	mirror("anoncover_coalesced", "Requests that joined another identical request's in-flight run.", &s.ctrs.Coalesced)
 	mirror("anoncover_batched", "Requests executed through the batch window.", &s.ctrs.Batched)
 	mirror("anoncover_batch_runs", "Pooled batch runs executed.", &s.ctrs.BatchRuns)
+	mirror("anoncover_certificate_failures", "Runs whose cover failed verification; must stay 0.", &s.ctrs.CertificateFailures)
 
 	reg.GaugeFuncs("anoncover_cached_solvers",
 		"Compiled solvers currently cached, by instance kind.", "kind").

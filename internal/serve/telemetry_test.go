@@ -89,8 +89,8 @@ func TestRunIDPropagation(t *testing.T) {
 		t.Fatalf("first record missing phase timings: %+v", first)
 	}
 	if second := rr.Runs[0]; second.Cache != "memo" && second.Cache != "hit" {
-		// Identical body without verify differs in memo key, so a hit is
-		// also acceptable; what matters is that it did not recompile.
+		// verify defaults to true, so this is the same memo key; a hit
+		// is also acceptable: what matters is that it did not recompile.
 		t.Fatalf("second record cache %q, want memo or hit", second.Cache)
 	}
 
